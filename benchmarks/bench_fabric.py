@@ -13,11 +13,13 @@ milliseconds per cell) three ways:
 
 * **serial journaled** — a plain ``ExperimentSession`` with a run dir: the
   baseline every fabric guarantee is anchored to;
-* **fabric, one in-process worker** — a coordinator (no pool) plus one
+* **fabric, one in-process worker** — the same session with
+  ``fabric=FabricConfig(workers=0)`` (a coordinator, no pool) plus one
   :class:`~repro.runner.fabric.FabricWorker` on a thread.  Same process,
-  same serial cell execution, so the ratio isolates exactly the fabric
-  layer (leases + shard + merge).  This is the gated number: the CI
-  ``perf-smoke`` job fails the build when it exceeds 5 %;
+  same session loop, same serial cell execution, so the ratio isolates
+  exactly the fabric result source (leases + shard + merge).  This is the
+  gated number: the CI ``perf-smoke`` job fails the build when it exceeds
+  5 %;
 * **fabric, 3 pool workers** — the real ``run --fabric 3`` configuration,
   subprocess spawn and all, recorded as an informational speedup figure
   (it includes ~1 s of interpreter start-up per worker, so it is *not* a
@@ -39,9 +41,10 @@ from typing import Dict, Optional
 import pytest
 
 from repro.runner.artifacts import artifact_payload, dumps_canonical
-from repro.runner.fabric import FabricConfig, FabricCoordinator, FabricWorker
+from repro.runner.fabric import FabricConfig, FabricWorker
 from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.journal import load_journal
+from repro.runner.leases import list_available
 from repro.runner.reporting import format_table
 from repro.runner.session import ExperimentSession
 from repro.runner.worker_cache import clear_worker_caches
@@ -95,6 +98,15 @@ def _serial_once(tmp_path, repeat: int) -> float:
     return time.perf_counter() - start
 
 
+def _work_once_leased(run_dir) -> None:
+    """Run an in-process worker from the moment the session has published
+    its leases, so the worker's join and claim succeed on their first
+    attempt — otherwise its 0.1 s retry sleeps pollute the timing."""
+    while not list_available(run_dir):
+        time.sleep(0.001)
+    FabricWorker(run_dir, "bench").run()
+
+
 def _fabric_once(tmp_path, label: str, repeat: int, workers: int) -> float:
     clear_worker_caches()
     run_dir = tmp_path / f"{label}-{repeat}"
@@ -102,31 +114,21 @@ def _fabric_once(tmp_path, label: str, repeat: int, workers: int) -> float:
     # One lease over the whole grid isolates the *per-cell* fabric costs
     # (lease re-read, shard append, merge); per-lease costs (claim, warm,
     # fsync, release) scale with the operator-chosen lease count.  The
-    # 0.1 s poll bounds how often the coordinator thread wakes and steals
-    # GIL time from the in-process worker — a measurement artifact real
+    # 0.1 s poll bounds how often the coordinator wakes and steals GIL
+    # time from the in-process worker — a measurement artifact real
     # subprocess pools do not pay.
     config = FabricConfig(
         workers=workers, lease_ttl=60.0, poll_interval=0.1, chunks_per_worker=1
     )
-    coordinator = FabricCoordinator(
-        FABRIC_PROBE, run_dir=run_dir, mode="full", config=config
-    )
+    session = ExperimentSession(FABRIC_PROBE, mode="full", run_dir=run_dir, fabric=config)
     thread = None
     start = time.perf_counter()
-    try:
-        # start() first so the worker's join poll succeeds on its first
-        # attempt — otherwise its 0.1 s retry sleep pollutes the timing.
-        coordinator.start()
-        if workers == 0:  # in-process worker: the clean measurement
-            worker = FabricWorker(run_dir, "bench")
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-        while not coordinator.step():
-            time.sleep(config.poll_interval)
-    finally:
-        coordinator.close()
+    if workers == 0:  # in-process worker: the clean measurement
+        thread = threading.Thread(target=_work_once_leased, args=(run_dir,), daemon=True)
+        thread.start()
+    result = session.run()
     elapsed = time.perf_counter() - start
-    assert len(coordinator.result.cells) == FABRIC_PROBE.num_cells
+    assert len(result.cells) == FABRIC_PROBE.num_cells
     if thread is not None:
         thread.join(timeout=30.0)
     return elapsed

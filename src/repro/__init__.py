@@ -22,7 +22,7 @@ the scenario-file loaders, artifact helpers, and the plugin registries
 (register a custom topology family, Byzantine behaviour, placement,
 algorithm or delay model by name and sweep it like the built-ins)::
 
-    from repro.api import API_VERSION, GridSpec, SweepEngine, TOPOLOGIES
+    from repro.api import API_VERSION, ExperimentSession, GridSpec, TOPOLOGIES
 
 See ``examples/`` for richer scenarios and ``benchmarks/`` for the
 table/figure reproductions.

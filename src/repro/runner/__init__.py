@@ -44,11 +44,11 @@ committed as TOML files under ``src/repro/runner/scenarios/`` (format in
 ``python -m repro.runner run --scenario-file path.toml``.  The curated,
 versioned import surface for all of this is :mod:`repro.api`.
 
-**Sessions, journals, resume (api v2).**  The run surface is the streaming
+**Sessions, journals, resume.**  The run surface is the streaming
 :class:`~repro.runner.session.ExperimentSession`: ``session.events()``
 yields typed events (``RunStarted`` / ``CellCompleted`` / ``GroupUpdated``
 / ``CheckpointWritten`` / ``RunFinished``) as cells finish — identically
-for serial and sharded execution — ``session.iter_results()`` is the
+for serial, pool and fabric execution — ``session.iter_results()`` is the
 cell-level view and ``session.run()`` the blocking form.  With a run
 directory, completed cells are appended (flushed per record, fsynced at
 checkpoints) to the schema-versioned JSONL journal in
@@ -64,8 +64,9 @@ through the coordinator/worker lease protocol in
 :mod:`repro.runner.fabric`: N worker processes lease contiguous cell
 ranges (atomic-rename lease files, mtime heartbeats, epoch fencing),
 append results to per-worker shards, and the coordinator merges the
-shards into the canonical journal in strict index order — so ``fold()``
-of a fabric journal is byte-identical to the serial run.  The protocol is
+shards with epoch fencing; the session journals the merged cells in
+strict index order — so ``fold()`` of a fabric journal is byte-identical
+to the serial run.  The protocol is
 pure shared-directory filesystem state, so extra machines join the same
 run with ``fabric worker --run-dir /nfs/dir`` (``--fabric 0`` starts a
 coordinator with no local pool); ``fabric status --run-dir`` inspects a
@@ -120,10 +121,12 @@ code  meaning
     range, the input generator (``"spread"`` or ``"random"``), the BW
     flooding policy and the round budget for synchronous baselines.
 
-Run a grid with :class:`~repro.runner.harness.SweepEngine` (``workers > 1``
-shards cells across a ``multiprocessing`` pool in chunked batches), write
-the result with :func:`~repro.runner.artifacts.write_artifact`, and gate a
-regenerated artifact against a committed baseline with
+Run a grid with :class:`~repro.runner.session.ExperimentSession`
+(``workers > 1`` shards cells across a ``multiprocessing`` pool in chunked
+batches, ``fabric=FabricConfig(...)`` leases them to fabric workers), write
+the result with ``session.write_artifact`` (or
+:func:`~repro.runner.artifacts.write_artifact`), and gate a regenerated
+artifact against a committed baseline with
 :func:`~repro.runner.artifacts.compare`.  The ``python -m repro.runner``
 CLI (:mod:`repro.runner.cli`) wraps exactly that pipeline, and its
 ``profile`` subcommand cProfiles one scenario with a per-phase breakdown.
@@ -170,18 +173,13 @@ from repro.runner.harness import (
     CellResult,
     GridSpec,
     GroupAggregate,
-    StopSweep,
     SweepCell,
-    SweepEngine,
-    SweepResult,
     SweepRunResult,
     TopologySpec,
     aggregate_cells,
     derive_cell_seed,
     random_inputs,
-    run_grid,
     spread_inputs,
-    sweep_behaviors,
 )
 from repro.runner.journal import (
     Journal,
@@ -220,7 +218,6 @@ from repro.runner.session import (
     StopPolicy,
     expected_group_count,
     make_stop_policy,
-    run_session,
 )
 from repro.runner.scenario_files import (
     Scenario,
@@ -279,10 +276,7 @@ __all__ = [
     "SessionEvent",
     "SessionProgress",
     "StopPolicy",
-    "StopSweep",
     "SweepCell",
-    "SweepEngine",
-    "SweepResult",
     "SweepRunResult",
     "TopologySpec",
     "aggregate_cells",
@@ -290,12 +284,9 @@ __all__ = [
     "journal_path",
     "load_journal",
     "make_stop_policy",
-    "run_session",
     "derive_cell_seed",
     "random_inputs",
-    "run_grid",
     "spread_inputs",
-    "sweep_behaviors",
     "ComparisonReport",
     "artifact_payload",
     "compare",

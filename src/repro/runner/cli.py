@@ -114,14 +114,8 @@ from repro.exceptions import PhaseError, ReproError
 from repro.graphs.bitset_backends import backend_policy
 from repro.registry import ALL_REGISTRIES
 from repro.runner.artifacts import compare_files
-from repro.runner.fabric import (
-    EXIT_ORPHANED,
-    FabricConfig,
-    FabricCoordinator,
-    FabricWorker,
-    fabric_status,
-)
-from repro.runner.harness import NOT_APPLICABLE, GridSpec, SweepEngine
+from repro.runner.fabric import EXIT_ORPHANED, FabricConfig, FabricWorker, fabric_status
+from repro.runner.harness import NOT_APPLICABLE, GridSpec
 from repro.runner.reporting import SessionProgress, format_table, render_fabric_status
 from repro.runner.scenario_files import Scenario, load_scenario_file
 from repro.runner.scenarios import (
@@ -811,7 +805,8 @@ def _drive_session(
                 f"interrupted after {progress.completed} cell(s); completed work is "
                 f"journaled in {session.run_dir}"
             )
-            print(f"resume with: python -m repro.runner run --resume {session.run_dir}")
+            fabric = f" --fabric {session.workers}" if session.coordinator is not None else ""
+            print(f"resume with: python -m repro.runner run --resume {session.run_dir}{fabric}")
             return EXIT_INTERRUPTED
         raise
     if args.progress:
@@ -828,87 +823,40 @@ def _drive_session(
             f"({finished.detail}) — partial artifact covers "
             f"{finished.completed}/{finished.total} cells"
         )
-    resumed = f", {progress.replayed} replayed from journal" if progress.replayed else ""
+    detail = f"workers={session.workers}"
+    if session.coordinator is not None:
+        report = session.coordinator.report
+        counts = [f"merged={report.merged}", f"leases={report.leases_created}"]
+        for label, count in (
+            ("fenced", report.fenced),
+            ("splits", report.splits),
+            ("stale-rejected", report.rejected_stale),
+            ("duplicates", report.duplicates),
+        ):
+            if count:
+                counts.append(f"{label}={count}")
+        detail = f"fabric {detail}, {' '.join(counts)}"
+    if progress.replayed:
+        detail += f", {progress.replayed} replayed from journal"
     wall = finished.wall_seconds
     rate = finished.completed / wall if wall else float("inf")
     journal_note = f" (journal: {session.journal_path})" if session.journaling else ""
     print(
         f"{finished.scenario}: {payload['totals']['cells']} cells in "
-        f"{finished.wall_seconds:.2f}s ({rate:.1f} cells/s, workers={session.workers}"
-        f"{resumed}) -> {path}{journal_note}"
+        f"{wall:.2f}s ({rate:.1f} cells/s, {detail}) -> {path}{journal_note}"
     )
     return EXIT_OK
 
 
-def _fabric_config(args: argparse.Namespace) -> FabricConfig:
+def _fabric_config(args: argparse.Namespace) -> Optional[FabricConfig]:
+    if args.fabric is None:
+        return None
     config = FabricConfig(workers=args.fabric, plugins=tuple(args.plugins or ()))
     if args.lease_ttl is not None:
         config = dataclasses.replace(config, lease_ttl=args.lease_ttl)
     if args.worker_throttle is not None:
         config = dataclasses.replace(config, worker_throttle=args.worker_throttle)
     return config
-
-
-def _drive_fabric(
-    args: argparse.Namespace,
-    coordinator: FabricCoordinator,
-    path: pathlib.Path,
-) -> int:
-    """Drive one fabric coordinator to its seal: progress, artifact, summary."""
-    progress = SessionProgress()
-
-    def observe(event) -> None:
-        progress.observe(event)
-        if args.progress and isinstance(event, (RunStarted, CellCompleted, RunFinished)):
-            print(f"\r{progress.render_line()}", end="", flush=True)
-
-    try:
-        coordinator.run(observer=observe)
-    except KeyboardInterrupt:
-        if args.progress:
-            print()
-        print(
-            f"interrupted after {progress.completed} merged cell(s); durable work is "
-            f"journaled in {coordinator.run_dir}"
-        )
-        print(
-            f"resume with: python -m repro.runner run --resume {coordinator.run_dir} "
-            f"--fabric {coordinator.config.workers}"
-        )
-        return EXIT_INTERRUPTED
-    if args.progress:
-        print()
-    payload = coordinator.write_artifact(path)
-    if not args.no_table:
-        print(progress.render_summary())
-    finished = coordinator.finished
-    assert finished is not None  # run() only returns after the seal
-    if finished.reason != "completed":
-        policy = finished.reason.partition(":")[2]
-        print(
-            f"{finished.scenario}: sealed early by stop policy {policy!r} "
-            f"({finished.detail}) — partial artifact covers "
-            f"{finished.completed}/{finished.total} cells"
-        )
-    report = coordinator.report
-    fabric_notes = [f"merged={report.merged}", f"leases={report.leases_created}"]
-    if report.fenced:
-        fabric_notes.append(f"fenced={report.fenced}")
-    if report.splits:
-        fabric_notes.append(f"splits={report.splits}")
-    if report.rejected_stale:
-        fabric_notes.append(f"stale-rejected={report.rejected_stale}")
-    if report.duplicates:
-        fabric_notes.append(f"duplicates={report.duplicates}")
-    wall = finished.wall_seconds
-    rate = finished.completed / wall if wall else float("inf")
-    print(
-        f"{finished.scenario}: {payload['totals']['cells']} cells in "
-        f"{wall:.2f}s ({rate:.1f} cells/s, fabric workers={coordinator.config.workers}, "
-        f"{' '.join(fabric_notes)}) -> {path} "
-        f"(journal: {coordinator.run_dir / 'journal.jsonl'})"
-    )
-    return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -941,42 +889,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--resume reads the grid from the journal header; drop "
                 "--scenario/--scenario-file/--journal/--run-dir"
             )
-        if args.fabric is not None:
-            coordinator = FabricCoordinator.resume(
-                args.resume, config=_fabric_config(args), stop_policies=policies
-            )
-            path = _artifact_path(args.output, 1, coordinator.spec.name, coordinator.mode)
-            return _drive_fabric(args, coordinator, path)
         session = ExperimentSession.resume(
             args.resume,
             workers=args.workers,
             chunk_size=args.chunk_size,
             stop_policies=policies,
+            fabric=_fabric_config(args),
         )
         path = _artifact_path(args.output, 1, session.spec.name, session.mode)
         return _drive_session(args, session, path)
     mode = "quick" if args.quick else "full"
     scenarios = _selected_scenarios(args)
-    if args.fabric is not None:
-        if len(scenarios) > 1:
-            raise ReproError(
-                "--fabric drives one scenario per run directory; pass a single "
-                "--scenario/--scenario-file"
-            )
-        scenario = scenarios[0]
-        coordinator = FabricCoordinator(
-            scenario.grid(quick=args.quick),
-            run_dir=_run_dir_for(args, 1, scenario.name, mode),
-            mode=mode,
-            config=_fabric_config(args),
-            stop_policies=policies,
+    if args.fabric is not None and len(scenarios) > 1:
+        raise ReproError(
+            "--fabric drives one scenario per run directory; pass a single "
+            "--scenario/--scenario-file"
         )
-        path = _artifact_path(args.output, 1, scenario.name, mode)
-        return _drive_fabric(args, coordinator, path)
     planned: List[Tuple[ExperimentSession, pathlib.Path]] = []
     for scenario in scenarios:
         run_dir = None
-        if args.journal:
+        if args.journal or args.fabric is not None:
             run_dir = _run_dir_for(args, len(scenarios), scenario.name, mode)
         session = ExperimentSession(
             scenario.grid(quick=args.quick),
@@ -985,6 +917,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             run_dir=run_dir,
             stop_policies=policies,
+            fabric=_fabric_config(args),
         )
         planned.append((session, _artifact_path(args.output, len(scenarios), scenario.name, mode)))
     for session, path in planned:
@@ -1195,7 +1128,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     _apply_bitset_backend(args.bitset_backend)
     scenario = get_scenario(args.scenario)
     spec = scenario.grid(quick=args.quick)
-    engine = SweepEngine(workers=args.workers)
+    session = ExperimentSession(spec, mode="quick" if args.quick else "full", workers=args.workers)
     clear_worker_caches()
 
     phases = []
@@ -1212,7 +1145,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = engine.run(spec)
+    result = session.run()
     profiler.disable()
     phases.append(("execute", time.perf_counter() - start, f"workers={args.workers}"))
 

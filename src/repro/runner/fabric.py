@@ -11,16 +11,17 @@ wire-format spec; this module is the reference implementation.
 
 Roles:
 
-* The **coordinator** (:class:`FabricCoordinator`) owns the canonical
-  journal.  It publishes leases over the pending cell indexes
-  (:mod:`repro.runner.leases`), incrementally merges worker shards into
-  ``journal.jsonl`` in strict index order (a hold-back buffer, exactly like
-  the sharded engine), feeds the merged stream to stop policies, fences
-  expired leases, splits the largest outstanding lease when workers idle
-  (straggler work-stealing — BW-heavy cells are ~30x slower than condition
-  cells), and finally seals the journal.  Because per-cell seeds derive
-  from ``(scenario, index)`` and the merge is index-ordered, ``fold()`` of
-  a fabric journal is byte-identical to the serial run's.
+* The **coordinator** (:class:`FabricCoordinator`) is the result source of
+  an :class:`~repro.runner.session.ExperimentSession` built with
+  ``fabric=FabricConfig(...)``.  It publishes leases over the pending cell
+  indexes (:mod:`repro.runner.leases`), merges worker shards with epoch
+  fencing, fences expired leases, splits the largest outstanding lease
+  when workers idle (straggler work-stealing — BW-heavy cells are ~30x
+  slower than condition cells) and writes the stop sentinel.  The session
+  appends the merged results to ``journal.jsonl`` in strict index order,
+  feeds stop policies and seals the journal, exactly as for serial and
+  pool runs.  Because per-cell seeds derive from ``(scenario, index)``,
+  ``fold()`` of a fabric journal is byte-identical to the serial run's.
 * A **worker** (:class:`FabricWorker`) claims a lease by atomic rename,
   executes its cells serially, appends each result to its own shard
   ``shards/<worker-id>.jsonl`` (flushed per record), heartbeats the lease
@@ -42,8 +43,9 @@ coordinator fences the lease after ``lease_ttl`` without a heartbeat
 unfinished remainder at ``epoch + 1``.  A dead coordinator is detected by
 workers via the manifest mtime going stale for ``orphan_grace`` seconds;
 they exit with code :data:`EXIT_ORPHANED` (4) and the run resumes later
-with ``run --resume DIR --fabric N`` (fence log replayed, shards
-re-merged, leftovers re-fenced, pending re-leased).
+with ``run --resume DIR --fabric N`` — ``ExperimentSession.resume(run_dir,
+fabric=...)`` (fence log replayed, shards re-merged, leftovers re-fenced,
+pending re-leased).
 """
 
 from __future__ import annotations
@@ -54,25 +56,12 @@ import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.exceptions import ExperimentError, JournalError, ReproError
-from repro.runner.artifacts import artifact_payload, write_payload
-from repro.runner.harness import (
-    CellResult,
-    GridSpec,
-    SweepCell,
-    SweepRunResult,
-    _fold_into,
-    aggregate_cells,
-)
-from repro.runner.journal import (
-    Journal,
-    JournalWriter,
-    load_journal,
-    tail_records,
-)
+from repro.exceptions import JournalError, ReproError
+from repro.runner.harness import CellResult, GridSpec, SweepCell
+from repro.runner.journal import load_journal, tail_records
 from repro.runner.leases import (
     Lease,
     append_fence,
@@ -90,22 +79,9 @@ from repro.runner.leases import (
     validate_worker_id,
     write_available,
 )
-from repro.runner.session import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    CellCompleted,
-    CheckpointWritten,
-    GroupUpdated,
-    RunFinished,
-    RunStarted,
-    SessionEvent,
-    StopPolicy,
-    expected_group_count,
-    make_stop_policy,
-)
 from repro.runner.worker_cache import cache_snapshot, warm_worker_caches
 
 PathLike = Union[str, pathlib.Path]
-Observer = Callable[[SessionEvent], None]
 
 FABRIC_VERSION = 1
 FABRIC_KIND = "repro-fabric"
@@ -578,169 +554,87 @@ class FabricReport:
 
 
 class FabricCoordinator:
-    """The fabric's journal owner: lease publisher, shard merger, sealer.
+    """The fabric's result source: lease publisher, shard merger, worker pool.
 
-    Deterministically steppable: :meth:`start` publishes the run
-    (journal + manifest + leases, optionally spawning pool workers), each
-    :meth:`step` does one poll round — heartbeat the manifest, merge shard
-    tails, advance the in-order hold-back into the canonical journal, feed
-    stop policies, fence expired leases, split for idle workers — and
-    returns ``True`` once the run is finished.  :meth:`run` is the blocking
-    loop over ``step``; tests drive ``step`` directly with in-process
-    workers and a fake clock.
+    An :class:`~repro.runner.session.ExperimentSession` built with
+    ``fabric=FabricConfig(...)`` owns one coordinator and drives it through
+    :meth:`results`; the session keeps the canonical journal, the
+    index-order hold-back, stop policies and the seal, exactly as for its
+    serial and pool sources.  The coordinator keeps what only the fabric
+    needs: the manifest, lease publishing, the epoch-fenced shard merge,
+    fencing of expired leases, work stealing, pool-worker spawn/reap and
+    the ``stop.json`` sentinel.
+
+    Deterministically steppable: :meth:`start` replays the fence log,
+    merges durable shard work, fences leftover leases and writes the
+    manifest; :meth:`publish` leases the remaining cells (spawning pool
+    workers); each :meth:`step` is one poll round — heartbeat the manifest,
+    merge shard tails, fence expired leases, split for idle workers — and
+    returns the newly accepted results.  Tests drive these directly with
+    in-process workers and a fake clock.
     """
 
-    def __init__(
-        self,
-        spec: Optional[GridSpec] = None,
-        *,
-        run_dir: PathLike,
-        mode: str = "full",
-        config: Optional[FabricConfig] = None,
-        stop_policies: Sequence[Union[StopPolicy, str]] = (),
-        observer: Optional[Observer] = None,
-        _journal: Optional[Journal] = None,
-    ) -> None:
-        if spec is None and _journal is None:
-            raise ExperimentError("FabricCoordinator needs a spec (or use .resume)")
+    def __init__(self, run_dir: PathLike, config: FabricConfig, *, mode: str) -> None:
         self.run_dir = pathlib.Path(run_dir)
-        self.config = config or FabricConfig()
-        self.mode = _journal.mode if _journal is not None else mode
-        self.spec = _journal.grid_spec() if _journal is not None else spec
-        self.checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        self.stop_policies: List[StopPolicy] = [
-            policy if isinstance(policy, StopPolicy) else make_stop_policy(policy)
-            for policy in stop_policies
-        ]
+        self.config = config
+        self.mode = mode
         self.report = FabricReport()
-        self._observer = observer
-        self._resumed_journal = _journal
-        self._writer: Optional[JournalWriter] = None
-        self._provenance: Optional[Dict[str, object]] = None
+        self.spec_hash = ""
+        self.total = 0
         self._procs: Dict[str, subprocess.Popen] = {}
         self._offsets: Dict[pathlib.Path, int] = {}
         self._epochs: Dict[int, int] = {}
         self._accepted: Set[int] = set()
-        self._journaled: Set[int] = set()
-        self._buffer: Dict[int, CellResult] = {}
-        self._results: List[CellResult] = []
-        self._groups: Dict[Tuple, object] = {}
-        self._next = 0
-        self._fresh = 0
-        self._stop: Optional[Tuple[str, str]] = None
-        self._started = False
-        self._done = False
-        self._finished: Optional[RunFinished] = None
-        self._start_clock = 0.0
         self._last_steal_scan = float("-inf")
-        self.total = 0
-        self.spec_hash = ""
+        self._closed = False
 
-    # -- construction from an interrupted fabric run ---------------------
-    @classmethod
-    def resume(
-        cls,
-        run_dir: PathLike,
-        *,
-        config: Optional[FabricConfig] = None,
-        stop_policies: Sequence[Union[StopPolicy, str]] = (),
-        observer: Optional[Observer] = None,
-    ) -> "FabricCoordinator":
-        journal = load_journal(run_dir)
-        if journal.sealed:
-            raise ExperimentError(
-                f"journal {journal.path} is sealed ({journal.seal_reason!r}); the "
-                "run is complete — nothing to resume"
-            )
-        return cls(
-            run_dir=run_dir,
-            config=config,
-            stop_policies=stop_policies,
-            observer=observer,
-            _journal=journal,
-        )
+    @property
+    def complete(self) -> bool:
+        """Whether every cell of the grid has been accepted."""
+        return len(self._accepted) >= self.total
 
-    # -- event plumbing ---------------------------------------------------
-    def _emit(self, event: SessionEvent) -> None:
-        if self._stop is None:
-            for policy in self.stop_policies:
-                detail = policy.observe(event)
-                if detail is not None:
-                    self._stop = (policy.name, detail)
-                    break
-        if self._observer is not None:
-            self._observer(event)
-
-    def _absorb(self, result: CellResult, replayed: bool) -> None:
-        self._results.append(result)
-        _fold_into(self._groups, result)
-        self._emit(
-            CellCompleted(
-                result=result,
-                completed=len(self._results),
-                total=self.total,
-                replayed=replayed,
-            )
-        )
-        group = self._groups[result.group_key]
-        self._emit(GroupUpdated(key=result.group_key, group=replace(group)))
+    def results(
+        self, spec_hash: str, pending: Sequence[int], total: int
+    ) -> Iterator[CellResult]:
+        """Yield every pending cell's result as its shard record is accepted
+        (merge order, not index order); polls until all are accepted."""
+        yield from self.start(spec_hash, pending, total)
+        if not self.complete:
+            self.publish()
+        while not self.complete:
+            time.sleep(self.config.poll_interval)
+            yield from self.step()
 
     # -- startup ----------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            raise ExperimentError("coordinator already started")
-        self._started = True
-        self._start_clock = time.perf_counter()
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+    def start(self, spec_hash: str, pending: Sequence[int], total: int) -> List[CellResult]:
+        """Take over the run dir; returns the durable shard cells merged.
 
-        replayed: List[CellResult] = []
-        if self._resumed_journal is not None:
-            self._writer = JournalWriter.resume(self._resumed_journal)
-            self._provenance = self._resumed_journal.provenance()
-            self.spec_hash = self._resumed_journal.spec_hash
-            replayed = sorted(self._resumed_journal.cells, key=lambda cell: cell.index)
-            try:
-                os.unlink(stop_path(self.run_dir))  # stale sentinel from the
-            except FileNotFoundError:  # interrupted run must not stop workers
-                pass
-        else:
-            self._writer = JournalWriter.create(self.run_dir, self.spec, mode=self.mode)
-            header = load_journal(self.run_dir)
-            self._provenance = header.provenance()
-            self.spec_hash = header.spec_hash
-
-        all_cells = self.spec.expand()
-        self.total = len(all_cells)
+        ``pending`` are the cell indexes the journal does not record yet.
+        Resume order matters: shard work already paid for is merged
+        *before* leftover leases are fenced, so none of it is re-leased.
+        """
+        self.spec_hash = spec_hash
+        self.total = total
+        self._accepted = set(range(total)) - set(pending)
+        try:
+            os.unlink(stop_path(self.run_dir))  # a stale sentinel from an
+        except FileNotFoundError:  # interrupted run must not stop workers
+            pass
         self._epochs = replay_fence_log(self.run_dir)
-
-        # Resume order matters: merge durable shard work *before* fencing
-        # leftover leases, so nothing already paid for is re-leased.
-        self._accepted = {cell.index for cell in replayed}
-        self._journaled = set(self._accepted)
-        self._merge_shards()
+        merged = self._merge_shards()
         self._fence_leftover_leases()
+        write_manifest(self.run_dir, spec_hash, self.mode, self.config)
+        return merged
 
-        write_manifest(self.run_dir, self.spec_hash, self.mode, self.config)
-
-        self._emit(
-            RunStarted(
-                scenario=self.spec.name,
-                mode=self.mode,
-                total_cells=self.total,
-                completed_cells=len(replayed),
-                expected_groups=expected_group_count(self.spec, total=self.total),
-                workers=self.config.workers,
-                run_dir=str(self.run_dir),
-            )
-        )
-        for cell in replayed:
-            self._absorb(cell, replayed=True)
-        self._advance()
-
-        if self._stop is None and len(self._accepted) < self.total:
-            self._publish_initial_leases()
-            if self.config.workers > 0:
-                self._spawn_workers()
+    def publish(self) -> None:
+        """Lease every cell not yet accepted and spawn the pool workers."""
+        pending = [i for i in range(self.total) if i not in self._accepted]
+        parts = max(1, self.config.workers or 1) * self.config.chunks_per_worker
+        chunk_size = max(1, -(-len(pending) // parts))
+        for start, end in chunk_runs(contiguous_runs(pending), chunk_size):
+            self._publish_lease(start, end)
+        if self.config.workers > 0:
+            self._spawn_workers()
 
     def _fence_leftover_leases(self) -> None:
         """Invalidate every lease file left behind by a previous coordinator.
@@ -765,15 +659,6 @@ class FabricCoordinator:
             for index in bumped.indexes():
                 self._epochs[index] = max(self._epochs.get(index, 0), bumped.epoch)
             self.report.fenced += 1
-
-    def _publish_initial_leases(self) -> None:
-        pending = [i for i in range(self.total) if i not in self._accepted]
-        if not pending:
-            return
-        parts = max(1, self.config.workers or 1) * self.config.chunks_per_worker
-        chunk_size = max(1, -(-len(pending) // parts))
-        for start, end in chunk_runs(contiguous_runs(pending), chunk_size):
-            self._publish_lease(start, end)
 
     def _publish_lease(self, start: int, end: int) -> None:
         """Publish one available lease, normalising the range onto one epoch.
@@ -824,57 +709,36 @@ class FabricCoordinator:
         return {worker_id: proc.pid for worker_id, proc in self._procs.items()}
 
     # -- the poll round ----------------------------------------------------
-    def step(self, now: Optional[float] = None) -> bool:
-        """One poll round; returns ``True`` once the run is finished."""
-        if not self._started:
-            raise ExperimentError("call start() before step()")
-        if self._done:
-            return True
+    def step(self, now: Optional[float] = None) -> List[CellResult]:
+        """One poll round; returns the results accepted in it."""
         now = time.time() if now is None else now
         try:
             os.utime(manifest_path(self.run_dir))  # the coordinator heartbeat
         except FileNotFoundError:
             pass
-        self._merge_shards()
-        self._advance()
-        if self._stop is not None:
-            self._finish(f"policy:{self._stop[0]}", detail=self._stop[1])
-            return True
-        if len(self._accepted) >= self.total:
-            self._finish("completed")
-            return True
-        self._manage_leases(now)
-        return False
-
-    def run(self, observer: Optional[Observer] = None) -> SweepRunResult:
-        """Blocking form: start, poll until finished, reap workers, fold."""
-        if observer is not None:
-            self._observer = observer
-        self.start()
-        try:
-            while not self.step():
-                time.sleep(self.config.poll_interval)
-        except BaseException:
-            # SIGINT or anything fatal: tell workers to stop, keep the
-            # journal unsealed (resumable via `run --resume DIR --fabric N`).
-            write_stop(self.run_dir, "interrupted")
-            raise
-        finally:
-            self.close()
-        return self.result
+        merged = self._merge_shards()
+        if not self.complete:
+            self._manage_leases(now)
+        return merged
 
     # -- merging ----------------------------------------------------------
-    def _merge_shards(self) -> None:
+    def _merge_shards(self) -> List[CellResult]:
+        merged: List[CellResult] = []
         directory = shards_dir(self.run_dir)
         if not directory.is_dir():
-            return
+            return merged
         for path in sorted(directory.glob("*.jsonl")):
             records, offset = tail_records(path, self._offsets.get(path, 0))
             self._offsets[path] = offset
             for record in records:
-                self._merge_record(path, record)
+                result = self._merge_record(path, record)
+                if result is not None:
+                    merged.append(result)
+        return merged
 
-    def _merge_record(self, path: pathlib.Path, record: Dict[str, object]) -> None:
+    def _merge_record(
+        self, path: pathlib.Path, record: Dict[str, object]
+    ) -> Optional[CellResult]:
         kind = record.get("record")
         if kind == "header":
             if record.get("kind") != SHARD_KIND or record.get("shard_version") != SHARD_VERSION:
@@ -884,7 +748,7 @@ class FabricCoordinator:
                     f"shard {path}: spec_hash does not match this run's journal — "
                     "a worker joined the wrong run directory"
                 )
-            return
+            return None
         if kind != "cell":
             raise FabricError(f"shard {path}: unknown record kind {kind!r}")
         try:
@@ -897,44 +761,15 @@ class FabricCoordinator:
             raise FabricError(f"shard {path}: cell index {index} outside the grid")
         if index in self._accepted:
             self.report.duplicates += 1
-            return
+            return None
         if epoch != self._epochs.get(index, 0):
             # The fencing rule: late writes from a lost lease carry a stale
             # epoch and are dropped here, whatever their payload says.
             self.report.rejected_stale += 1
-            return
+            return None
         self._accepted.add(index)
-        self._buffer[index] = result
         self.report.merged += 1
-
-    def _advance(self) -> None:
-        """Drain the hold-back buffer into the canonical journal, in order.
-
-        The canonical journal receives cells in strict index order — the
-        exact order a serial run appends them — so stop policies see the
-        identical event sequence and a sealed fabric journal folds
-        byte-identically.
-        """
-        while self._next < self.total and self._stop is None:
-            if self._next in self._journaled:
-                self._next += 1
-                continue
-            result = self._buffer.pop(self._next, None)
-            if result is None:
-                break
-            self._writer.append_cell(result)
-            self._journaled.add(self._next)
-            self._next += 1
-            self._fresh += 1
-            self._absorb(result, replayed=False)
-            if self._fresh % self.checkpoint_interval == 0:
-                self._writer.checkpoint()
-                self._emit(
-                    CheckpointWritten(
-                        path=str(self._writer.path),
-                        cells_recorded=self._writer.cells_recorded,
-                    )
-                )
+        return result
 
     # -- lease management --------------------------------------------------
     def _manage_leases(self, now: float) -> None:
@@ -1044,33 +879,19 @@ class FabricCoordinator:
         self.report.splits += 1
         self.report.leases_created += 1
 
-    # -- finishing ---------------------------------------------------------
-    def _finish(self, reason: str, detail: Optional[str] = None) -> None:
-        write_stop(self.run_dir, reason)
-        self._writer.seal(reason, self._results)
-        self._emit(
-            CheckpointWritten(
-                path=str(self._writer.path),
-                cells_recorded=self._writer.cells_recorded,
-                sealed=True,
-            )
-        )
-        successes = sum(1 for cell in self._results if cell.success)
-        self._finished = RunFinished(
-            scenario=self.spec.name,
-            reason=reason,
-            completed=len(self._results),
-            total=self.total,
-            successes=successes,
-            wall_seconds=time.perf_counter() - self._start_clock,
-            detail=detail,
-        )
-        self._emit(self._finished)
-        self._done = True
-        self._reap_workers()
+    # -- shutdown ----------------------------------------------------------
+    def close(self, reason: str = "interrupted") -> None:
+        """Write ``stop.json`` with ``reason`` and reap the pool workers.
 
-    def _reap_workers(self, timeout: float = 15.0) -> None:
-        deadline = time.monotonic() + timeout
+        ``reason`` is the journal's seal reason (``completed`` or
+        ``policy:<name>``), or ``interrupted`` when the run ends unsealed.
+        Idempotent: only the first call writes the sentinel.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        write_stop(self.run_dir, reason)
+        deadline = time.monotonic() + 15.0
         for proc in self._procs.values():
             remaining = max(0.1, deadline - time.monotonic())
             try:
@@ -1082,42 +903,6 @@ class FabricCoordinator:
                 except subprocess.TimeoutExpired:  # pragma: no cover - last resort
                     proc.kill()
                     proc.wait()
-
-    def close(self) -> None:
-        """Release the journal handle and reap any pool workers."""
-        if self._writer is not None:
-            self._writer.close()
-        self._reap_workers(timeout=5.0 if not self._done else 15.0)
-
-    # -- results -----------------------------------------------------------
-    @property
-    def finished(self) -> Optional[RunFinished]:
-        return self._finished
-
-    @property
-    def result(self) -> SweepRunResult:
-        if self._finished is None:
-            raise ExperimentError("fabric run has not finished; drive run() or step()")
-        cells = sorted(self._results, key=lambda cell: cell.index)
-        return SweepRunResult(
-            spec=self.spec,
-            cells=cells,
-            groups=aggregate_cells(cells),
-            workers=self.config.workers,
-            wall_seconds=self._finished.wall_seconds,
-            stop_reason=None if self._finished.reason == "completed" else self._finished.reason,
-        )
-
-    def provenance(self) -> Optional[Dict[str, object]]:
-        return dict(self._provenance) if self._provenance is not None else None
-
-    def artifact_payload(self) -> Dict[str, object]:
-        return artifact_payload(self.result, mode=self.mode, provenance=self.provenance())
-
-    def write_artifact(self, path: PathLike) -> Dict[str, object]:
-        payload = self.artifact_payload()
-        write_payload(path, payload)
-        return payload
 
 
 # ----------------------------------------------------------------------

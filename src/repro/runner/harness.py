@@ -4,9 +4,10 @@ The paper's tables and figures are all produced by sweeping consensus
 executions (or condition checks) over grids of topologies, fault bounds,
 Byzantine behaviours, fault placements and seeds.  This module provides the
 machinery that turns a declarative :class:`GridSpec` into concrete
-:class:`SweepCell`\\ s, runs every cell — serially or sharded across a
-``multiprocessing`` pool — and folds the per-cell results into deterministic
-aggregates.
+:class:`SweepCell`\\ s, runs them sharded across a ``multiprocessing`` pool
+(:func:`pool_results`; the run loop itself is
+:class:`~repro.runner.session.ExperimentSession`) and folds the per-cell
+results into deterministic aggregates.
 
 Determinism is the load-bearing property: every cell derives its RNG seed
 from ``(scenario name, cell index)`` via :func:`derive_cell_seed`, so results
@@ -15,19 +16,18 @@ serial run and a 4-worker run of the same grid produce byte-identical
 artifacts (see :mod:`repro.runner.artifacts`).
 
 The cell-execution function itself lives in :mod:`repro.runner.scenarios`
-(which owns the topology / behaviour / algorithm registries); the engine here
-is generic over any picklable ``runner(spec, cell) -> CellResult`` callable.
+(which owns the topology / behaviour / algorithm registries); the pool source
+here is generic over any picklable ``runner(spec, cell) -> CellResult``
+callable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import math
 import multiprocessing
 import random
-import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -41,12 +41,9 @@ from typing import (
     Tuple,
 )
 
-from repro.adversary.adversary import FaultPlan
-from repro.adversary.behaviors import STANDARD_BEHAVIOR_FACTORIES
-from repro.adversary.placement import place_random
 from repro.exceptions import ScenarioFileError
 from repro.graphs.digraph import DiGraph
-from repro.runner.metrics import ConsensusOutcome, aggregate_success_rate
+from repro.runner.metrics import ConsensusOutcome
 
 NodeId = Hashable
 
@@ -64,24 +61,6 @@ CELL_SEED = "cell"
 
 #: Result of running one cell; implemented by ``repro.runner.scenarios.run_cell``.
 CellRunner = Callable[["GridSpec", "SweepCell"], "CellResult"]
-
-#: Per-cell observer hook: called once per completed cell, in strict
-#: cell-index order, identically on the serial and the sharded path.  May
-#: raise :class:`StopSweep` to end the sweep early.
-CellObserver = Callable[["CellResult"], None]
-
-
-class StopSweep(Exception):
-    """Raised by a :data:`CellObserver` to end a sweep early (not an error).
-
-    The engine folds the triggering cell, stops dispatching work, releases
-    the worker pool and returns the partial
-    :class:`SweepRunResult` with :attr:`SweepRunResult.stop_reason` set.
-    """
-
-    def __init__(self, reason: str = "stopped") -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 # ----------------------------------------------------------------------
@@ -693,9 +672,9 @@ class SweepRunResult:
     groups: List[GroupAggregate]
     workers: int = 1
     wall_seconds: float = 0.0
-    #: ``None`` for a completed sweep; the :class:`StopSweep` reason when an
-    #: observer (e.g. a session stop policy) ended the run early.  Like the
-    #: timing fields, never serialized into artifacts.
+    #: ``None`` for a completed sweep; the seal reason (``policy:<name>``)
+    #: when a session stop policy ended the run early.  Like the timing
+    #: fields, never serialized into artifacts.
     stop_reason: Optional[str] = None
 
     @property
@@ -706,272 +685,73 @@ class SweepRunResult:
 
 
 # ----------------------------------------------------------------------
-# the engine
+# the pool result source
 # ----------------------------------------------------------------------
-def _default_runner() -> CellRunner:
-    from repro.runner.scenarios import run_cell
-
-    return run_cell
-
-
-class SweepEngine:
-    """Expand a :class:`GridSpec` and execute it, optionally sharded.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes.  ``1`` (the default) runs in-process;
-        larger values shard cells across a ``multiprocessing`` pool in
-        chunked batches.  Results are identical either way.
-    chunk_size:
-        Cells per pool task.  Defaults to ``ceil(cells / (workers * 4))`` so
-        each worker receives a handful of batches (amortizing IPC overhead
-        while keeping the shards balanced).
-    """
-
-    def __init__(self, workers: int = 1, chunk_size: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.workers = workers
-        self.chunk_size = chunk_size
-
-    def expand(self, spec: GridSpec) -> List[SweepCell]:
-        """Expansion is delegated to the spec; exposed here for symmetry."""
-        return spec.expand()
-
-    def stream(
-        self,
-        spec: GridSpec,
-        runner: Optional[CellRunner] = None,
-        cells: Optional[Sequence[SweepCell]] = None,
-    ) -> Iterator[CellResult]:
-        """Yield every :class:`CellResult` as it completes, in cell-index order.
-
-        This generator is the engine's observer surface: the serial path and
-        the sharded ``workers > 1`` path emit the *identical* result stream
-        (same cells, same order), so consumers — the streaming
-        :class:`~repro.runner.session.ExperimentSession`, journals, progress
-        views — never depend on the worker count.  On the sharded path,
-        results arriving out of order are held back until every earlier
-        index has been yielded.
-
-        ``cells`` restricts execution to a subset of the grid (resume runs
-        pass the not-yet-completed cells); it defaults to the full
-        expansion.  The worker pool lives inside a ``with`` block, so
-        closing the generator early — a stop policy, a crashed consumer, a
-        ``KeyboardInterrupt`` in the driving loop — tears the pool down
-        deterministically instead of leaking worker processes.
-        """
-        default_runner = _default_runner()
-        using_default = runner is None or runner is default_runner
-        runner = runner or default_runner
-        if cells is None:
-            cells = spec.expand()
-        else:
-            cells = sorted(cells, key=lambda cell: cell.index)
-        if self.workers == 1 or len(cells) <= 1:
-            for cell in cells:
-                yield runner(spec, cell)
-            return
-        if using_default:
-            # Build every needed topology object once in the parent so
-            # fork-based workers inherit them copy-on-write instead of
-            # each rebuilding the expensive precomputation.
-            from repro.runner.worker_cache import warm_worker_caches
-
-            warm_worker_caches(spec, cells)
-        chunk = self.chunk_size or max(1, math.ceil(len(cells) / (self.workers * 4)))
-        # Dispatch same-topology cells contiguously so each chunk — and
-        # therefore each worker — builds a topology's graph / bitmask
-        # index / TopologyKnowledge at most once (the worker-global cache
-        # in repro.runner.worker_cache keeps them warm across its chunks).
-        # Completed results are released in cell-index order via the
-        # hold-back buffer below, so the stream — and any artifact folded
-        # from it — stays byte-identical to the serial run.
-        dispatch_order = sorted(
-            cells, key=lambda cell: (cell.topology.label, cell.f, cell.algorithm, cell.index)
-        )
-        expected = [cell.index for cell in cells]
-        held_back: Dict[int, CellResult] = {}
-        position = 0
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            for result in pool.imap(
-                functools.partial(runner, spec), dispatch_order, chunksize=chunk
-            ):
-                held_back[result.index] = result
-                while position < len(expected) and expected[position] in held_back:
-                    yield held_back.pop(expected[position])
-                    position += 1
-
-    def run(
-        self,
-        spec: GridSpec,
-        runner: Optional[CellRunner] = None,
-        observer: Optional[CellObserver] = None,
-        cells: Optional[Sequence[SweepCell]] = None,
-    ) -> SweepRunResult:
-        """Execute every cell of ``spec`` and aggregate incrementally.
-
-        ``runner`` must be a picklable module-level callable when
-        ``workers > 1``; it defaults to the scenario registry's
-        :func:`~repro.runner.scenarios.run_cell`.  ``observer`` — the hook
-        behind the streaming session API — is invoked once per completed
-        cell in cell-index order (identically for serial and sharded runs)
-        and may raise :class:`StopSweep` to end the sweep early with a
-        partial result; any other exception it raises propagates after the
-        worker pool has been released.
-        """
-        start = time.perf_counter()
-        results: List[CellResult] = []
-        groups: Dict[Tuple[str, str, int, str, str, str], GroupAggregate] = {}
-        stop_reason: Optional[str] = None
-        stream = self.stream(spec, runner=runner, cells=cells)
-        try:
-            for result in stream:
-                results.append(result)
-                _fold_into(groups, result)
-                if observer is not None:
-                    observer(result)
-        except StopSweep as stop:
-            stop_reason = stop.reason
-        finally:
-            # Closing the generator runs its pool context manager, so a
-            # mid-run exception (poisoned runner, observer failure) never
-            # leaks worker processes.
-            stream.close()
-        wall = time.perf_counter() - start
-        return SweepRunResult(
-            spec=spec,
-            cells=results,
-            groups=list(groups.values()),
-            workers=self.workers,
-            wall_seconds=wall,
-            stop_reason=stop_reason,
-        )
+#: ``(spec, cells in dispatch order, runner)`` of the pool this worker
+#: process belongs to; set once per worker by :func:`_init_pool_worker`.
+_pool_job: Optional[Tuple["GridSpec", List[SweepCell], CellRunner]] = None
 
 
-def run_grid(
+def _init_pool_worker(spec: GridSpec, cells: List[SweepCell], runner: CellRunner) -> None:
+    global _pool_job
+    _pool_job = (spec, cells, runner)
+
+
+def _run_cell_range(bounds: Tuple[int, int]) -> List[CellResult]:
+    spec, cells, runner = _pool_job
+    start, stop = bounds
+    return [runner(spec, cell) for cell in cells[start:stop]]
+
+
+def pool_results(
     spec: GridSpec,
-    workers: int = 1,
+    cells: Sequence[SweepCell],
+    runner: CellRunner,
+    workers: int,
     chunk_size: Optional[int] = None,
-    runner: Optional[CellRunner] = None,
-) -> SweepRunResult:
-    """Deprecated (api v1): one-call blocking wrapper around :class:`SweepEngine`.
+) -> Iterator[CellResult]:
+    """Run ``cells`` on a ``workers``-process pool, yielding results as
+    their chunks complete (not in index order — the session holds back).
 
-    The v2 run surface is
-    :class:`~repro.runner.session.ExperimentSession` —
-    ``ExperimentSession(spec, workers=N).run()`` is the drop-in
-    replacement, and sessions additionally stream events, journal progress
-    and resume interrupted runs.  Importing ``run_grid`` from
-    :mod:`repro.api` emits a :class:`DeprecationWarning`; this definition is
-    the shim's home and stays until api v3.
+    Same-topology cells are dispatched contiguously so each chunk — and
+    therefore each worker — builds a topology's graph, bitmask index and
+    TopologyKnowledge at most once (the worker-global cache in
+    :mod:`repro.runner.worker_cache` keeps them warm across chunks).
+
+    The spec, the cells and the runner reach the workers once, through the
+    pool initializer; a task is just a ``(start, stop)`` range into the
+    dispatch order.  Tasks must stay tiny: a task of pickled cells (~62 KB
+    per 1000 cells) can fill the pool's 64 KB input pipe, and
+    ``Pool.terminate`` after an early stop then blocks forever in the task
+    handler's pipe write.  Closing the generator tears the pool down.
     """
-    return SweepEngine(workers=workers, chunk_size=chunk_size).run(spec, runner=runner)
-
-
-# ----------------------------------------------------------------------
-# legacy behaviour sweep (kept for ad-hoc drivers and the examples)
-# ----------------------------------------------------------------------
-@dataclass
-class SweepResult:
-    """Aggregate of a family of outcomes sharing one experimental cell."""
-
-    label: str
-    outcomes: List[ConsensusOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        """Number of executions in the cell."""
-        return len(self.outcomes)
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of runs satisfying all of Definition 1."""
-        return aggregate_success_rate(self.outcomes)
-
-    @property
-    def worst_range(self) -> float:
-        """Largest honest output range observed."""
-        return max((outcome.output_range for outcome in self.outcomes), default=0.0)
-
-    @property
-    def mean_messages(self) -> float:
-        """Mean delivered messages per run."""
-        if not self.outcomes:
-            return 0.0
-        return sum(outcome.messages_delivered for outcome in self.outcomes) / len(self.outcomes)
-
-    @property
-    def mean_rounds(self) -> float:
-        """Mean completed rounds per run."""
-        if not self.outcomes:
-            return 0.0
-        return sum(outcome.rounds for outcome in self.outcomes) / len(self.outcomes)
-
-    def as_row(self) -> List:
-        """Row used by the plain-text reporting helpers."""
-        worst = self.worst_range
-        worst_text = "inf" if worst == float("inf") else f"{worst:.4g}"
-        return [
-            self.label,
-            self.runs,
-            f"{self.success_rate:.2f}",
-            worst_text,
-            f"{self.mean_rounds:.1f}",
-            f"{self.mean_messages:.0f}",
-        ]
-
-
-def sweep_behaviors(
-    run_one: Callable[[FaultPlan, int, str], ConsensusOutcome],
-    graph: DiGraph,
-    f: int,
-    behaviors: Optional[Mapping[str, Callable]] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-    placement_seed: int = 7,
-) -> List[SweepResult]:
-    """Run ``run_one`` for every behaviour × seed combination (serially).
-
-    ``run_one(fault_plan, seed, behavior_name)`` must return an outcome.  The
-    fault placement is seeded per cell from ``(placement_seed, seed)`` via
-    :func:`derive_cell_seed` — *not* from any global RNG state — so every
-    behaviour faces the same faulty set per seed and reordering or
-    subsetting the behaviour axis never changes any cell's result.
-    """
-    behaviors = dict(behaviors or STANDARD_BEHAVIOR_FACTORIES)
-    results: List[SweepResult] = []
-    for behavior_name, factory in behaviors.items():
-        cell = SweepResult(label=behavior_name)
-        for seed in seeds:
-            faulty = place_random(
-                graph, f, seed=derive_cell_seed(f"placement:{placement_seed}", seed)
-            )
-            plan = FaultPlan(faulty, lambda node, factory=factory: factory(), seed=seed)
-            cell.outcomes.append(run_one(plan, seed, behavior_name))
-        results.append(cell)
-    return results
+    dispatch = sorted(
+        cells, key=lambda cell: (cell.topology.label, cell.f, cell.algorithm, cell.index)
+    )
+    chunk = chunk_size or max(1, math.ceil(len(dispatch) / (workers * 4)))
+    bounds = [
+        (start, min(start + chunk, len(dispatch))) for start in range(0, len(dispatch), chunk)
+    ]
+    with multiprocessing.Pool(
+        processes=workers, initializer=_init_pool_worker, initargs=(spec, dispatch, runner)
+    ) as pool:
+        for results in pool.imap(_run_cell_range, bounds):
+            yield from results
 
 
 __all__ = [
     "CELL_SEED",
     "NOT_APPLICABLE",
-    "CellObserver",
     "CellResult",
     "CellRunner",
-    "StopSweep",
     "GridSpec",
     "GroupAggregate",
     "SweepCell",
-    "SweepEngine",
-    "SweepResult",
     "SweepRunResult",
     "TopologySpec",
     "aggregate_cells",
     "derive_cell_seed",
+    "pool_results",
     "random_inputs",
-    "run_grid",
     "spread_inputs",
-    "sweep_behaviors",
 ]

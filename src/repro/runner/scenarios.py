@@ -12,8 +12,8 @@ the format) and every string axis resolves through the typed registries in
   (each an :class:`~repro.runner.algorithms.AlgorithmSpec`)
 
 :func:`run_cell` is the single cell-execution entry point used by
-:class:`~repro.runner.harness.SweepEngine`; it resolves the cell's algorithm
-*by name inside the worker process*, so cells travel between processes as
+:class:`~repro.runner.session.ExperimentSession`; it resolves the cell's
+algorithm *by name inside the worker process*, so cells travel between processes as
 small tuples of primitives and a sharded run needs nothing unpicklable.
 
 The pre-registry call surface (``build_topology``, ``resolve_placement``

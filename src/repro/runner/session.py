@@ -1,15 +1,18 @@
-"""Streaming execution sessions: the api-v2 run surface.
+"""Streaming execution sessions: the one run loop behind every sweep.
 
 An :class:`ExperimentSession` wraps one :class:`~repro.runner.harness.GridSpec`
-(optionally plus a run directory) and replaces the blocking
-``SweepEngine.run(spec)`` call with an **event-driven, journaled, resumable**
-execution model:
+(optionally plus a run directory) in an **event-driven, journaled,
+resumable** execution:
 
 * :meth:`ExperimentSession.events` yields typed events — :class:`RunStarted`,
   :class:`CellCompleted`, :class:`GroupUpdated`, :class:`CheckpointWritten`,
-  :class:`RunFinished` — as cells finish.  The stream is produced by
-  :meth:`SweepEngine.stream`, the engine's observer surface, so the serial
-  and the ``workers > 1`` sharded path emit the *identical* sequence.
+  :class:`RunFinished` — as cells finish.  Cells come from one of three
+  *result sources*: in-process (``workers=1``), a process pool
+  (:func:`~repro.runner.harness.pool_results`, ``workers > 1``) or the
+  lease-based fabric (:class:`~repro.runner.fabric.FabricCoordinator`,
+  ``fabric=FabricConfig(...)``).  A source yields results in whatever order
+  they finish; the session releases them in strict cell-index order, so
+  every source emits the *identical* event sequence and journal.
   :meth:`ExperimentSession.iter_results` is the thin cell-level view.
 * With a ``run_dir``, every completed cell is appended (flushed per record,
   fsynced at every checkpoint) to the canonical JSONL journal
@@ -18,7 +21,7 @@ execution model:
   :meth:`ExperimentSession.resume` re-expands the grid, verifies the
   journal's spec hash, skips the durably completed cell indexes — per-cell
   seeds derive from ``(scenario, index)``, so a resumed run is
-  byte-identical to an uninterrupted one — and continues on the pool.
+  byte-identical to an uninterrupted one — and continues on any source.
 * :class:`StopPolicy` instances (resolved by name through the
   :data:`~repro.registry.STOP_POLICIES` registry: ``max-cells:N``,
   ``max-wall-time:SECONDS``, ``group-converged:RUNS``) watch the event
@@ -34,8 +37,8 @@ The blocking call is one line on top of the stream::
         ...  # render progress, feed dashboards, evaluate policies
     payload = session.write_artifact("benchmarks/results/table2.full.json")
 
-``ExperimentSession(spec).run()`` is the drop-in replacement for the
-deprecated v1 ``run_grid(spec)``.
+``ExperimentSession(spec).run()`` returns the folded
+:class:`~repro.runner.harness.SweepRunResult`.
 """
 
 from __future__ import annotations
@@ -54,15 +57,17 @@ from repro.runner.artifacts import (
     environment_metadata,
     write_payload,
 )
+from repro.runner.fabric import FabricConfig, FabricCoordinator
 from repro.runner.harness import (
     CellResult,
     CellRunner,
     GridSpec,
     GroupAggregate,
-    SweepEngine,
+    SweepCell,
     SweepRunResult,
     _fold_into,
     aggregate_cells,
+    pool_results,
 )
 from repro.runner.journal import Journal, JournalWriter, journal_path, load_journal
 
@@ -81,7 +86,7 @@ def expected_group_count(spec: GridSpec, total: Optional[int] = None) -> int:
     Groups collapse the seed axis, so the count is the grid size divided by
     the seed count (0 for an empty grid).  Pass ``total`` when the expanded
     cell count is already known, to avoid re-expanding the grid; sessions
-    and the fabric coordinator both size their progress views with this.
+    size their progress views with this.
     """
     if total is None:
         total = len(spec.expand())
@@ -292,7 +297,7 @@ class _SessionState:
 
 
 class ExperimentSession:
-    """One resumable, observable execution of a grid (api v2).
+    """One resumable, observable execution of a grid.
 
     Parameters
     ----------
@@ -302,9 +307,12 @@ class ExperimentSession:
         Artifact mode recorded in the journal header and derived artifact
         (``"full"`` or ``"quick"``).
     workers / chunk_size / runner:
-        Forwarded to the underlying :class:`SweepEngine`; semantics are
-        unchanged — a 4-worker session produces the same events, journal
-        and artifact bytes as a serial one.
+        ``workers > 1`` shards cells across a process pool in tasks of
+        ``chunk_size`` cells (default ``ceil(cells / (workers * 4))``);
+        ``runner`` replaces :func:`~repro.runner.scenarios.run_cell` (it
+        must be a picklable module-level callable when ``workers > 1``).
+        A 4-worker session produces the same events, journal and artifact
+        bytes as a serial one.
     run_dir:
         Enables durable journaling: completed cells are appended to
         ``<run_dir>/journal.jsonl`` (flushed per record, fsynced every
@@ -315,6 +323,12 @@ class ExperimentSession:
         through :data:`~repro.registry.STOP_POLICIES`.
     checkpoint_interval:
         Cells between :class:`CheckpointWritten` events on journaled runs.
+    fabric:
+        Run the cells on the lease-based fabric instead
+        (``docs/fabric-protocol.md``): :attr:`coordinator` publishes leases
+        in ``run_dir`` and ``fabric.workers`` local worker processes — plus
+        any external ``fabric worker --run-dir`` — execute them.  Needs a
+        ``run_dir``; excludes ``workers``, ``chunk_size`` and ``runner``.
     """
 
     def __init__(
@@ -328,11 +342,24 @@ class ExperimentSession:
         run_dir: Optional[PathLike] = None,
         stop_policies: Iterable[Union[StopPolicy, str]] = (),
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        fabric: Optional[FabricConfig] = None,
     ) -> None:
         if mode not in ("quick", "full"):
             raise ExperimentError(f"mode must be 'quick' or 'full', got {mode!r}")
         if checkpoint_interval < 1:
             raise ExperimentError("checkpoint_interval must be >= 1")
+        if workers < 1:
+            raise ExperimentError("workers must be >= 1")
+        if chunk_size is not None and chunk_size < 1:
+            raise ExperimentError("chunk_size must be >= 1")
+        if fabric is not None:
+            if run_dir is None:
+                raise ExperimentError("a fabric session needs a run_dir")
+            if workers != 1 or chunk_size is not None or runner is not None:
+                raise ExperimentError(
+                    "a fabric session runs cells on fabric workers; drop "
+                    "workers/chunk_size/runner"
+                )
         self.spec = spec
         self.mode = mode
         self.run_dir = pathlib.Path(run_dir) if run_dir is not None else None
@@ -341,10 +368,16 @@ class ExperimentSession:
             policy if isinstance(policy, StopPolicy) else make_stop_policy(policy)
             for policy in stop_policies
         ]
-        self._engine = SweepEngine(workers=workers, chunk_size=chunk_size)
+        self.chunk_size = chunk_size
+        #: The fabric's lease publisher / shard merger (fabric sessions only).
+        self.coordinator: Optional[FabricCoordinator] = (
+            FabricCoordinator(self.run_dir, fabric, mode=mode) if fabric is not None else None
+        )
+        self._workers = workers
         self._runner = runner
         self._resumed_journal: Optional[Journal] = None
         self._provenance: Optional[Dict[str, object]] = None
+        self._spec_hash = ""
         self._state = _SessionState()
         self._consumed = False
 
@@ -359,6 +392,7 @@ class ExperimentSession:
         runner: Optional[CellRunner] = None,
         stop_policies: Iterable[Union[StopPolicy, str]] = (),
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        fabric: Optional[FabricConfig] = None,
     ) -> "ExperimentSession":
         """Continue an interrupted journaled run from its run directory.
 
@@ -366,8 +400,11 @@ class ExperimentSession:
         recorded grid — :mod:`repro.runner.journal`), re-expands the grid
         and schedules only the cells whose indexes are not yet durably
         recorded.  Per-cell seeds derive from ``(scenario, index)``, so the
-        resumed run's artifact is byte-identical to an uninterrupted one.
-        A sealed journal (completed or policy-stopped) refuses to resume.
+        resumed run's artifact is byte-identical to an uninterrupted one,
+        whichever source runs either part.  With ``fabric``, the
+        coordinator first merges the shards the interrupted fabric run left
+        behind, then fences its leftover leases.  A sealed journal
+        (completed or policy-stopped) refuses to resume.
         """
         journal = load_journal(run_dir)
         if journal.sealed:
@@ -403,6 +440,7 @@ class ExperimentSession:
             run_dir=journal.path.parent,
             stop_policies=stop_policies,
             checkpoint_interval=checkpoint_interval,
+            fabric=fabric,
         )
         session._resumed_journal = journal
         return session
@@ -410,7 +448,10 @@ class ExperimentSession:
     # -- introspection ----------------------------------------------------
     @property
     def workers(self) -> int:
-        return self._engine.workers
+        """Processes executing cells (fabric: the local fabric workers)."""
+        if self.coordinator is not None:
+            return self.coordinator.config.workers
+        return self._workers
 
     @property
     def journaling(self) -> bool:
@@ -436,7 +477,7 @@ class ExperimentSession:
             spec=self.spec,
             cells=cells,
             groups=aggregate_cells(cells),
-            workers=self._engine.workers,
+            workers=self.workers,
             wall_seconds=finished.wall_seconds,
             stop_reason=None if finished.reason == "completed" else finished.reason,
         )
@@ -457,9 +498,9 @@ class ExperimentSession:
         One-shot: a session runs at most once (resume constructs a new
         session over the same run directory).  Closing the iterator early —
         or a ``KeyboardInterrupt`` in the consuming loop — releases the
-        worker pool deterministically and leaves the journal *unsealed*,
-        i.e. resumable; the journal is sealed only on completion or when a
-        stop policy ends the run.
+        result source (pool or fabric workers) deterministically and leaves
+        the journal *unsealed*, i.e. resumable; the journal is sealed only
+        on completion or when a stop policy ends the run.
         """
         if self._consumed:
             raise ExperimentError(
@@ -476,8 +517,7 @@ class ExperimentSession:
                 yield event.result
 
     def run(self) -> SweepRunResult:
-        """Drain the event stream and return the folded result (v2 blocking
-        form; replaces the v1 ``run_grid``)."""
+        """Drain the event stream and return the folded result."""
         for _ in self.events():
             pass
         return self.result
@@ -507,18 +547,53 @@ class ExperimentSession:
             return None
         if self._resumed_journal is not None:
             writer = JournalWriter.resume(self._resumed_journal)
-            self._provenance = self._resumed_journal.provenance()
+            header = self._resumed_journal
         else:
             writer = JournalWriter.create(self.run_dir, self.spec, mode=self.mode)
             header = load_journal(self.run_dir)
-            self._provenance = header.provenance()
+        self._provenance = header.provenance()
+        self._spec_hash = header.spec_hash
         return writer
+
+    def _result_source(
+        self, spec: GridSpec, pending: List[SweepCell], total: int
+    ) -> Iterator[CellResult]:
+        """The iterator that executes ``pending``, in any completion order."""
+        if self.coordinator is not None:
+            indexes = [cell.index for cell in pending]
+            return self.coordinator.results(self._spec_hash, indexes, total)
+        # Looked up now, not at import, so a patched run_cell is honoured.
+        from repro.runner import scenarios
+
+        runner = self._runner or scenarios.run_cell
+        if self._workers == 1 or len(pending) <= 1:
+            return (runner(spec, cell) for cell in pending)
+        if runner is scenarios.run_cell:
+            # Build every needed topology object once in the parent so
+            # fork-based workers inherit them copy-on-write instead of
+            # each rebuilding the expensive precomputation.
+            from repro.runner.worker_cache import warm_worker_caches
+
+            warm_worker_caches(spec, pending)
+        return pool_results(spec, pending, runner, self._workers, self.chunk_size)
+
+    def _absorb(self, result: CellResult, total: int, replayed: bool) -> List[SessionEvent]:
+        state = self._state
+        state.results.append(result)
+        _fold_into(state.groups, result)
+        return [
+            CellCompleted(
+                result=result, completed=len(state.results), total=total, replayed=replayed
+            ),
+            GroupUpdated(
+                key=result.group_key, group=dataclasses.replace(state.groups[result.group_key])
+            ),
+        ]
 
     def _event_stream(self) -> Iterator[SessionEvent]:
         spec = self.spec
         all_cells = spec.expand()
         total = len(all_cells)
-        expected_groups = expected_group_count(spec, total=total)
         replayed: List[CellResult] = []
         if self._resumed_journal is not None:
             replayed = sorted(self._resumed_journal.cells, key=lambda cell: cell.index)
@@ -529,35 +604,19 @@ class ExperimentSession:
         writer = self._open_writer()
         start = time.perf_counter()
         stop: Optional[Tuple[str, str]] = None
+        reason = "interrupted"
         try:
             started = RunStarted(
                 scenario=spec.name,
                 mode=self.mode,
                 total_cells=total,
                 completed_cells=len(replayed),
-                expected_groups=expected_groups,
-                workers=self._engine.workers,
+                expected_groups=expected_group_count(spec, total=total),
+                workers=self.workers,
                 run_dir=str(self.run_dir) if self.run_dir is not None else None,
             )
             self._observe_policies(started)
             yield started
-
-            def absorb(result: CellResult, is_replay: bool) -> List[SessionEvent]:
-                state.results.append(result)
-                _fold_into(state.groups, result)
-                events: List[SessionEvent] = [
-                    CellCompleted(
-                        result=result,
-                        completed=len(state.results),
-                        total=total,
-                        replayed=is_replay,
-                    ),
-                    GroupUpdated(
-                        key=result.group_key,
-                        group=dataclasses.replace(state.groups[result.group_key]),
-                    ),
-                ]
-                return events
 
             # Replayed cells are absorbed unconditionally: they are already
             # durably recorded, so a stop policy firing mid-replay must not
@@ -565,19 +624,19 @@ class ExperimentSession:
             # records.  Policies observe the replay events (max-cells counts
             # them) but their verdict only takes effect before *fresh* work.
             for result in replayed:
-                for event in absorb(result, True):
+                for event in self._absorb(result, total, replayed=True):
                     stop = stop or self._observe_policies(event)
                     yield event
 
-            fresh = 0
-            if stop is None:
-                stream = self._engine.stream(spec, runner=self._runner, cells=pending)
+            if stop is None and pending:
+                source = self._result_source(spec, pending, total)
                 try:
-                    for result in stream:
+                    fresh = 0
+                    for result in _in_index_order(source, [cell.index for cell in pending]):
                         if writer is not None:
                             writer.append_cell(result)
                         fresh += 1
-                        for event in absorb(result, False):
+                        for event in self._absorb(result, total, replayed=False):
                             stop = stop or self._observe_policies(event)
                             yield event
                         if writer is not None and fresh % self.checkpoint_interval == 0:
@@ -589,9 +648,13 @@ class ExperimentSession:
                         if stop is not None:
                             break
                 finally:
-                    stream.close()
+                    # Releases the pool (or stops polling the fabric) on
+                    # every exit: completion, stop policy, interruption.
+                    source.close()
 
             reason = "completed" if stop is None else f"policy:{stop[0]}"
+            if self.coordinator is not None:
+                self.coordinator.close(reason)
             if writer is not None:
                 writer.seal(reason, state.results)
                 yield CheckpointWritten(
@@ -612,31 +675,24 @@ class ExperimentSession:
             state.finished = finished
             yield finished
         finally:
+            if self.coordinator is not None:
+                self.coordinator.close(reason)  # no-op once closed above
             if writer is not None:
                 writer.close()
 
 
-def run_session(
-    spec: GridSpec,
-    *,
-    mode: str = "full",
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    runner: Optional[CellRunner] = None,
-    run_dir: Optional[PathLike] = None,
-    stop_policies: Iterable[Union[StopPolicy, str]] = (),
-) -> SweepRunResult:
-    """One-call convenience wrapper: build a session, drain it, return the
-    result — the v2 equivalent of the deprecated ``run_grid``."""
-    return ExperimentSession(
-        spec,
-        mode=mode,
-        workers=workers,
-        chunk_size=chunk_size,
-        runner=runner,
-        run_dir=run_dir,
-        stop_policies=stop_policies,
-    ).run()
+def _in_index_order(
+    results: Iterable[CellResult], indexes: List[int]
+) -> Iterator[CellResult]:
+    """Release ``results`` in the order of ``indexes``, holding back early
+    arrivals — the one place any source's completion order is undone."""
+    held: Dict[int, CellResult] = {}
+    position = 0
+    for result in results:
+        held[result.index] = result
+        while position < len(indexes) and indexes[position] in held:
+            yield held.pop(indexes[position])
+            position += 1
 
 
 __all__ = [
@@ -654,5 +710,4 @@ __all__ = [
     "StopPolicy",
     "expected_group_count",
     "make_stop_policy",
-    "run_session",
 ]

@@ -5,7 +5,7 @@ BitsetIndex, and above all the TopologyKnowledge redundant-path enumeration
 — used to dominate sweep time (and made a 2-worker sharded run *slower*
 than serial).  Cells are pure functions of their spec, so the expensive
 objects only depend on (topology recipe, f, path policy): they are cached
-process-globally and thereby once per worker.  SweepEngine groups
+process-globally and thereby once per worker.  The pool source groups
 same-topology cells into the same pool chunk so each worker pays each
 build at most once.  Caching is invisible in the results: cell outcomes
 depend only on the cell's derived seed and the (deterministic) topology.
@@ -75,8 +75,8 @@ def cached_topology_knowledge(
 def warm_worker_caches(spec: GridSpec, cells: List[SweepCell]) -> None:
     """Pre-build every topology object the cells of ``spec`` will need.
 
-    Called by :class:`~repro.runner.harness.SweepEngine` in the parent
-    process *before* forking the worker pool: on fork-based platforms the
+    Called by :class:`~repro.runner.session.ExperimentSession` in the
+    parent process *before* forking the worker pool: on fork-based platforms the
     children then share the graphs, bitmask indexes and TopologyKnowledge
     (including any eager per-algorithm machinery) via copy-on-write instead
     of each worker rebuilding them.  On spawn platforms the call is

@@ -2,9 +2,12 @@
 
 The load-bearing property under test everywhere: a fabric journal —
 however many workers, fences, splits and crashes produced it — folds into
-the byte-identical artifact a serial run writes.  The doc-conformance
-class additionally pins every on-disk format to the normative spec in
-``docs/fabric-protocol.md``.
+the byte-identical artifact a serial run writes.  Fabric runs are
+:class:`ExperimentSession`\\ s with ``fabric=FabricConfig(...)``; the lease
+tests drive the coordinator's deterministic per-round poll directly.  The
+source-conformance class checks that serial, pool and fabric sessions emit
+the same events, and the doc-conformance class pins every on-disk format
+to the normative spec in ``docs/fabric-protocol.md``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from repro.runner.fabric import (
     write_manifest,
     write_stop,
 )
-from repro.runner.journal import load_journal, tail_records
+from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.journal import JournalWriter, load_journal, tail_records
 from repro.runner.leases import (
     FENCE_LOG_FILENAME,
     LEASE_KIND,
@@ -76,7 +80,7 @@ from repro.runner.leases import (
 )
 from repro.runner.reporting import render_fabric_status
 from repro.runner.scenarios import get_scenario, run_cell
-from repro.runner.session import CellCompleted, ExperimentSession
+from repro.runner.session import CellCompleted, ExperimentSession, RunFinished
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
@@ -107,13 +111,32 @@ def fold_bytes(run_dir) -> str:
     )
 
 
-def drive(coordinator: FabricCoordinator, timeout: float = 90.0) -> None:
-    """Poll ``step()`` until the run finishes (test-side ``run()`` loop)."""
+def fabric_session(run_dir, config: FabricConfig, **options) -> ExperimentSession:
+    """A journaled fabric session over GRID."""
+    return ExperimentSession(GRID, mode="quick", run_dir=run_dir, fabric=config, **options)
+
+
+def started_coordinator(run_dir, config: FabricConfig) -> FabricCoordinator:
+    """A coordinator over a fresh GRID journal with every cell leased —
+    what a fabric session sets up before its first poll round."""
+    JournalWriter.create(run_dir, GRID, mode="quick").close()
+    coordinator = FabricCoordinator(run_dir, config, mode="quick")
+    total = GRID.num_cells
+    assert coordinator.start(load_journal(run_dir).spec_hash, range(total), total) == []
+    coordinator.publish()
+    return coordinator
+
+
+def drive(coordinator: FabricCoordinator, timeout: float = 90.0) -> list:
+    """Poll ``step()`` until every cell is accepted; returns what it merged."""
     deadline = time.monotonic() + timeout
-    while not coordinator.step():
+    merged = []
+    while not coordinator.complete:
         if time.monotonic() > deadline:  # pragma: no cover - failure path
             raise AssertionError("fabric run did not finish within the timeout")
         time.sleep(coordinator.config.poll_interval)
+        merged.extend(coordinator.step())
+    return merged
 
 
 class WorkerThread:
@@ -138,12 +161,16 @@ class WorkerThread:
 
 
 @pytest.fixture(scope="module")
-def serial_fold(tmp_path_factory) -> str:
+def serial_run_dir(tmp_path_factory):
     """The serial reference: GRID journaled by an ExperimentSession."""
     run_dir = tmp_path_factory.mktemp("serial")
-    session = ExperimentSession(GRID, mode="quick", run_dir=run_dir)
-    session.run()
-    return fold_bytes(run_dir)
+    ExperimentSession(GRID, mode="quick", run_dir=run_dir).run()
+    return run_dir
+
+
+@pytest.fixture(scope="module")
+def serial_fold(serial_run_dir) -> str:
+    return fold_bytes(serial_run_dir)
 
 
 # ----------------------------------------------------------------------
@@ -267,31 +294,23 @@ class TestTailRecords:
 
 
 # ----------------------------------------------------------------------
-# the coordinator + in-process workers
+# fabric sessions + in-process workers
 # ----------------------------------------------------------------------
 class TestFabricRuns:
     def test_completes_and_folds_byte_identically_to_serial(
         self, tmp_path, serial_fold
     ):
-        indexes = []
-
-        def observer(event):
-            if isinstance(event, CellCompleted):
-                indexes.append(event.result.index)
-
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config(), observer=observer
-        )
-        coordinator.start()
         worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        session = fabric_session(tmp_path, fast_config())
+        indexes = [
+            event.result.index
+            for event in session.events()
+            if isinstance(event, CellCompleted)
+        ]
         assert worker.join() == 0  # stop sentinel seen
-        # The hold-back merge feeds the event stream in strict index order.
-        assert indexes == sorted(indexes) == list(range(len(GRID.expand())))
-        report = coordinator.report
+        # The session's hold-back releases merged cells in strict index order.
+        assert indexes == list(range(len(GRID.expand())))
+        report = session.coordinator.report
         assert report.merged == len(indexes)
         assert report.rejected_stale == 0 and report.duplicates == 0
         journal = load_journal(tmp_path)
@@ -304,85 +323,66 @@ class TestFabricRuns:
         assert fold_bytes(tmp_path) == serial_fold
 
     def test_stop_policy_seals_early_and_stops_workers(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(),
-            stop_policies=["max-cells:6"],
-        )
-        coordinator.start()
         worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        session = fabric_session(tmp_path, fast_config(), stop_policies=["max-cells:6"])
+        result = session.run()
         assert worker.join() == 0  # the sentinel, not exhaustion, stopped it
-        assert coordinator.finished.reason == "policy:max-cells"
+        assert session.finished.reason == "policy:max-cells"
         assert read_stop(tmp_path)["reason"] == "policy:max-cells"
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "policy:max-cells"
-        assert len(coordinator.result.cells) == 6
-        assert coordinator.result.stop_reason == "policy:max-cells"
+        assert len(result.cells) == 6
+        assert result.stop_reason == "policy:max-cells"
 
     def test_resume_after_coordinator_loss(self, tmp_path, serial_fold):
-        first = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        first.start()
         worker = WorkerThread(tmp_path, "tw1").start()
-        deadline = time.monotonic() + 60
-        while first.report.merged < 8:
-            assert time.monotonic() < deadline, "no progress before interruption"
-            first.step()
-            time.sleep(0.02)
-        # Die like `run()` dies on SIGINT: sentinel out, journal unsealed.
-        write_stop(tmp_path, "interrupted")
-        first.close()
+        events = fabric_session(tmp_path, fast_config()).events()
+        completed = 0
+        for event in events:
+            completed += isinstance(event, CellCompleted)
+            if completed == 8:
+                break
+        # Die like a SIGINT does: closing the stream writes the sentinel
+        # and leaves the journal unsealed.
+        events.close()
         assert worker.join() == 0
+        assert read_stop(tmp_path)["reason"] == "interrupted"
         assert not load_journal(tmp_path).sealed
 
-        resumed = FabricCoordinator.resume(tmp_path, config=fast_config())
-        resumed.start()
-        assert read_stop(tmp_path) is None  # stale sentinel deleted
-        # Leftover lease files from the dead incarnation were fenced.
-        assert resumed.report.fenced >= 1
-        assert max(replay_fence_log(tmp_path).values()) >= 1
         second_worker = WorkerThread(tmp_path, "tw2").start()
-        try:
-            drive(resumed)
-        finally:
-            resumed.close()
+        resumed = ExperimentSession.resume(tmp_path, fabric=fast_config())
+        sentinel_during_run = []
+        for event in resumed.events():
+            if isinstance(event, CellCompleted) and not event.replayed:
+                sentinel_during_run.append(read_stop(tmp_path))
+        # The stale sentinel was deleted before any worker could see it.
+        assert sentinel_during_run and all(stop is None for stop in sentinel_during_run)
         assert second_worker.join() == 0
+        # Leftover lease files from the dead incarnation were fenced.
+        assert resumed.coordinator.report.fenced >= 1
+        assert max(replay_fence_log(tmp_path).values()) >= 1
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "completed"
         assert fold_bytes(tmp_path) == serial_fold
 
     def test_resume_refuses_a_sealed_journal(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        coordinator.start()
         worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        fabric_session(tmp_path, fast_config()).run()
         worker.join()
         with pytest.raises(ExperimentError, match="sealed"):
-            FabricCoordinator.resume(tmp_path)
+            ExperimentSession.resume(tmp_path, fabric=fast_config())
+
+    def test_fabric_sessions_need_a_run_dir_and_no_pool_options(self, tmp_path):
+        with pytest.raises(ExperimentError, match="run_dir"):
+            ExperimentSession(GRID, fabric=fast_config())
+        with pytest.raises(ExperimentError, match="fabric workers"):
+            ExperimentSession(GRID, run_dir=tmp_path, workers=2, fabric=fast_config())
 
     def test_worker_exits_orphaned_when_the_coordinator_heartbeat_stales(
         self, tmp_path
     ):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(orphan_grace=0.3),
-        )
-        coordinator.start()
-        coordinator.close()  # coordinator dies; manifest mtime now frozen
+        # The coordinator dies without a sentinel; manifest mtime now frozen.
+        started_coordinator(tmp_path, fast_config(orphan_grace=0.3))
         old = time.time() - 100
         os.utime(manifest_path(tmp_path), (old, old))
         worker = FabricWorker(tmp_path, "lonely")
@@ -394,17 +394,64 @@ class TestFabricRuns:
 
 
 # ----------------------------------------------------------------------
+# every result source emits the same run
+# ----------------------------------------------------------------------
+class TestSourceConformance:
+    """Serial, pool and fabric sessions of one grid are indistinguishable
+    from their events, their seal and their folded artifact."""
+
+    #: Two topologies whose labels sort against their index order, so the
+    #: pool dispatches cells 6-11 before 0-5 and two fabric workers merge
+    #: in either order: the session's hold-back must restore index order.
+    GRID = GridSpec(
+        name="source-conformance",
+        algorithms=("check-reach",),
+        topologies=(TopologySpec.make("clique", n=5), TopologySpec.make("clique", n=4)),
+        behaviors=("-",),
+        placements=("-",),
+        seeds=tuple(range(1, 7)),
+    )
+
+    def _run(self, source: str, run_dir, policies=()):
+        workers = []
+        options = {}
+        if source == "fabric":
+            workers = [WorkerThread(run_dir, name).start() for name in ("cw1", "cw2")]
+            options = {"fabric": fast_config()}
+        elif source == "pool":
+            options = {"workers": 2, "chunk_size": 1}
+        session = ExperimentSession(
+            self.GRID, mode="quick", run_dir=run_dir, stop_policies=policies, **options
+        )
+        events = list(session.events())
+        assert all(worker.join() == 0 for worker in workers)
+        return {
+            "kinds": [type(event).__name__ for event in events],
+            "indexes": [e.result.index for e in events if isinstance(e, CellCompleted)],
+            "seal": load_journal(run_dir).seal_reason,
+            "finished": [e.reason for e in events if isinstance(e, RunFinished)],
+            "artifact": fold_bytes(run_dir),
+        }
+
+    @pytest.mark.parametrize("policies", [(), ("max-cells:6",)], ids=["full", "max-cells"])
+    def test_serial_pool_and_fabric_runs_are_identical(self, tmp_path, policies):
+        runs = {
+            source: self._run(source, tmp_path / source, policies)
+            for source in ("serial", "pool", "fabric")
+        }
+        assert runs["serial"] == runs["pool"] == runs["fabric"]
+        expected = self.GRID.num_cells if not policies else 6
+        assert runs["serial"]["indexes"] == list(range(expected))
+        assert runs["serial"]["seal"] == ("completed" if not policies else "policy:max-cells")
+
+
+# ----------------------------------------------------------------------
 # lease expiry, epoch fencing, duplicates, work stealing
 # ----------------------------------------------------------------------
 class TestFencing:
     def test_expired_lease_is_fenced_and_republished(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(chunks_per_worker=1),  # one lease over all cells
-        )
-        coordinator.start()
+        # chunks_per_worker=1: one lease over all cells
+        coordinator = started_coordinator(tmp_path, fast_config(chunks_per_worker=1))
         try:
             claimed = claim(tmp_path, "stalled")
             assert claimed is not None
@@ -425,60 +472,50 @@ class TestFencing:
             coordinator.close()
 
     def test_stale_epoch_records_are_rejected_and_do_not_leak(
-        self, tmp_path, serial_fold
+        self, tmp_path, serial_run_dir
     ):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(chunks_per_worker=1),
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config(chunks_per_worker=1))
         # A worker claims, stalls past the TTL, and is fenced (epoch -> 1).
         path, _ = claim(tmp_path, "zombie")
         old = time.time() - 100
         os.utime(path, (old, old))
-        coordinator.step()
+        merged = coordinator.step()
         # The zombie wakes up and appends a *corrupted* result for cell 0,
         # stamped with the epoch it still believes in.  If epoch fencing
-        # failed, this poisoned payload would reach the journal.
+        # failed, this poisoned payload would be merged.
         real = run_cell(GRID, GRID.expand()[0])
         poisoned = dataclasses.replace(real, rounds=real.rounds + 999, messages=0)
         with ShardWriter(tmp_path, "zombie", coordinator.spec_hash) as shard:
             shard.append_cell(poisoned, epoch=0)
-        coordinator.step()
+        merged += coordinator.step()
         assert coordinator.report.rejected_stale == 1
         # A healthy worker now runs everything at the fenced epoch.
         worker = WorkerThread(tmp_path, "healthy").start()
         try:
-            drive(coordinator)
+            merged += drive(coordinator)
         finally:
-            coordinator.close()
+            coordinator.close("completed")
         assert worker.join() == 0
         assert coordinator.report.rejected_stale >= 1
-        assert fold_bytes(tmp_path) == serial_fold  # the poison never landed
+        # The poison never landed: the merge is exactly the serial run.
+        serial_cells = load_journal(serial_run_dir).cells
+        assert sorted(merged, key=lambda cell: cell.index) == serial_cells
 
     def test_duplicate_shard_records_are_dropped(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config())
         try:
             result = run_cell(GRID, GRID.expand()[0])
             with ShardWriter(tmp_path, "echo", coordinator.spec_hash) as shard:
                 shard.append_cell(result, epoch=0)
                 shard.append_cell(result, epoch=0)  # re-delivered record
-            coordinator.step()
+            assert coordinator.step() == [result]
             assert coordinator.report.merged == 1
             assert coordinator.report.duplicates == 1
         finally:
             coordinator.close()
 
     def test_shard_from_another_run_is_refused(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config())
         try:
             with ShardWriter(tmp_path, "stranger", "0" * 64):
                 pass  # header only, wrong spec_hash
@@ -488,13 +525,9 @@ class TestFencing:
             coordinator.close()
 
     def test_split_steals_the_tail_of_the_largest_lease(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(chunks_per_worker=1, lease_ttl=30.0),
+        coordinator = started_coordinator(
+            tmp_path, fast_config(chunks_per_worker=1, lease_ttl=30.0)
         )
-        coordinator.start()
         try:
             path, lease = claim(tmp_path, "slowpoke")  # owns all 24 cells, alive
             # An external idle worker advertises itself via its status file.
@@ -542,27 +575,18 @@ class TestCrashInjection:
             chunks_per_worker=2,
             worker_throttle=0.2,  # widen the mid-lease kill window
         )
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=config
-        )
-        coordinator.start()
+        session = fabric_session(tmp_path, config)
         killed = None
-        deadline = time.monotonic() + 120
-        try:
-            while not coordinator.step():
-                assert time.monotonic() < deadline, "fabric run did not finish"
-                if killed is None:
-                    pool_pids = coordinator.worker_pids
-                    for _, owner in list_owned(tmp_path):
-                        if owner in pool_pids:
-                            os.kill(pool_pids[owner], signal.SIGKILL)
-                            killed = owner
-                            break
-                time.sleep(config.poll_interval)
-        finally:
-            coordinator.close()
+        for _ in session.events():
+            if killed is None:
+                pool_pids = session.coordinator.worker_pids
+                for _, owner in list_owned(tmp_path):
+                    if owner in pool_pids:
+                        os.kill(pool_pids[owner], signal.SIGKILL)
+                        killed = owner
+                        break
         assert killed is not None, "no pool worker ever owned a lease"
-        assert coordinator.report.fenced >= 1
+        assert session.coordinator.report.fenced >= 1
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "completed"
         assert fold_bytes(tmp_path) == serial_fold
@@ -741,14 +765,8 @@ class TestFabricCLI:
         assert "not a fabric run directory" in capsys.readouterr().err
 
     def test_worker_cli_propagates_the_orphan_exit_code(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(orphan_grace=0.3),
-        )
-        coordinator.start()
-        coordinator.close()
+        # The coordinator dies without a sentinel; manifest mtime now frozen.
+        started_coordinator(tmp_path, fast_config(orphan_grace=0.3))
         old = time.time() - 100
         os.utime(manifest_path(tmp_path), (old, old))
         code = main(

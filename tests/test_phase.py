@@ -15,7 +15,6 @@ import json
 import pathlib
 import re
 import threading
-import time
 
 import pytest
 
@@ -45,7 +44,7 @@ from repro.phase.curve import (
 )
 from repro.runner.artifacts import dumps_canonical, load_artifact
 from repro.runner.cli import EXIT_OK, main
-from repro.runner.fabric import FabricConfig, FabricCoordinator, FabricWorker
+from repro.runner.fabric import FabricConfig, FabricWorker
 from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.journal import load_journal
 from repro.runner.scenario_files import Scenario, dump_scenario_toml
@@ -249,26 +248,19 @@ class TestCommittedGridFoldsIdentically:
         assert dumps_canonical(payload) == serial_bytes
 
     def test_fabric_two_workers_match_serial(self, grid, serial_bytes, tmp_path):
-        coordinator = FabricCoordinator(
-            grid,
-            run_dir=tmp_path,
-            mode="quick",
-            config=FabricConfig(workers=0, poll_interval=0.02, chunks_per_worker=2),
-        )
-        coordinator.start()
         workers = []
         for worker_id in ("pw1", "pw2"):
             worker = FabricWorker(tmp_path, worker_id)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
             workers.append(thread)
-        try:
-            deadline = time.monotonic() + 120
-            while not coordinator.step():
-                assert time.monotonic() < deadline, "fabric run timed out"
-                time.sleep(coordinator.config.poll_interval)
-        finally:
-            coordinator.close()
+        session = ExperimentSession(
+            grid,
+            mode="quick",
+            run_dir=tmp_path,
+            fabric=FabricConfig(workers=0, poll_interval=0.02, chunks_per_worker=2),
+        )
+        session.run()
         for thread in workers:
             thread.join(timeout=30)
         journal = load_journal(tmp_path)

@@ -19,12 +19,12 @@ from repro.runner.artifacts import artifact_payload, dumps_canonical, load_artif
 from repro.runner.harness import (
     CellResult,
     GridSpec,
-    SweepEngine,
     SweepRunResult,
     aggregate_cells,
 )
 from repro.runner.journal import JournalWriter, journal_from_artifact, load_journal
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 from repro.store import ResultsStore, ServeConfig, journal_record_to_event, make_server
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -315,7 +315,7 @@ class TestLiveEndpoints:
 
         def sweep():
             results = []
-            for cell in SweepEngine(workers=1).stream(spec):
+            for cell in ExperimentSession(spec).iter_results():
                 writer.append_cell(cell)
                 results.append(cell)
                 time.sleep(0.01)  # let the tail reader interleave with writes

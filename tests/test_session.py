@@ -1,4 +1,4 @@
-"""Tests for the api-v2 streaming execution sessions (repro.runner.session)."""
+"""Tests for the streaming execution sessions (repro.runner.session)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import repro.api
 from repro.exceptions import ExperimentError, JournalError, UnknownPluginError
 from repro.runner.artifacts import artifact_payload, compare, dumps_canonical, load_artifact
 from repro.runner.cli import EXIT_INTERRUPTED, EXIT_OK, main
-from repro.runner.harness import SweepEngine
 from repro.runner.journal import journal_path, load_journal
 from repro.runner.reporting import SessionProgress
 from repro.runner.scenarios import get_scenario, run_cell
@@ -97,7 +96,7 @@ class TestEventStream:
     def test_event_stream_matches_engine_run(self):
         session = ExperimentSession(CHECK, mode="quick", workers=2, chunk_size=1)
         result = session.run()
-        reference = SweepEngine(workers=1).run(CHECK)
+        reference = ExperimentSession(CHECK, mode="quick").run()
         assert result.cells == reference.cells
         assert artifact_payload(result, mode="quick") == artifact_payload(
             reference, mode="quick"
@@ -147,7 +146,7 @@ class TestJournaledSessions:
         derived = dumps_canonical(session.artifact_payload())
         plain = dumps_canonical(
             artifact_payload(
-                SweepEngine(workers=1).run(QUICK),
+                ExperimentSession(QUICK, mode="quick").run(),
                 mode="quick",
                 provenance=journal.provenance(),
             )
@@ -272,9 +271,9 @@ class TestStopPolicies:
 
 class TestPoolHygiene:
     def test_poisoned_runner_propagates_and_releases_the_pool(self):
-        engine = SweepEngine(workers=2, chunk_size=1)
+        session = ExperimentSession(QUICK, workers=2, chunk_size=1, runner=_poisoned_run_cell)
         with pytest.raises(RuntimeError, match="poisoned cell"):
-            engine.run(QUICK, runner=_poisoned_run_cell)
+            session.run()
         assert _await_no_children(), "worker pool leaked child processes"
 
     def test_poisoned_session_leaves_no_artifact_and_a_resumable_journal(self, tmp_path):
@@ -302,6 +301,57 @@ class TestPoolHygiene:
         assert _await_no_children()
 
 
+EARLY_STOP_SCRIPT = """
+import sys
+from repro.runner.harness import CellResult, GridSpec, TopologySpec
+from repro.runner.session import ExperimentSession, MaxCellsPolicy
+
+
+def instant_cell(spec, cell):
+    return CellResult(
+        index=cell.index, algorithm=cell.algorithm, topology=cell.topology.label,
+        n=7, f=cell.f, behavior=cell.behavior, placement=cell.placement,
+        seed=cell.seed, derived_seed=cell.derived_seed, success=True,
+    )
+
+
+grid = GridSpec(
+    name="early-stop", algorithms=("check-reach",),
+    topologies=(TopologySpec.make("random-digraph", n=7, p=0.6, seed="cell"),),
+    behaviors=("-",), placements=("-",), seeds=tuple(range(1, 8001)),
+)
+for attempt in range(int(sys.argv[1])):
+    session = ExperimentSession(
+        grid, workers=2, chunk_size=1000, runner=instant_cell,
+        stop_policies=[MaxCellsPolicy(200)],
+    )
+    assert len(session.run().cells) == 200
+    print(attempt, flush=True)
+"""
+
+
+class TestEarlyStoppedPools:
+    def test_repeated_early_stops_never_hang_in_pool_teardown(self, tmp_path):
+        """Regression: 1000-cell tasks (~62 KB pickled, against a 64 KB
+        pipe) let ``Pool.terminate`` block forever in the task handler's
+        pipe write about once in eight early stops.  Tasks are now index
+        ranges, so the loop below must finish well inside the timeout."""
+        script = tmp_path / "early_stop.py"
+        script.write_text(EARLY_STOP_SCRIPT, encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        runs = 20
+        try:
+            completed = subprocess.run(
+                [sys.executable, str(script), str(runs)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+        except subprocess.TimeoutExpired as expired:  # pragma: no cover - the bug
+            pytest.fail(f"early-stopped pool session hung; progress: {expired.stdout!r}")
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == [str(attempt) for attempt in range(runs)]
+
+
 class TestSessionProgress:
     def test_progress_consumes_events_only(self, tmp_path):
         session = ExperimentSession(
@@ -323,18 +373,12 @@ class TestSessionProgress:
         assert "definition1 (quick grid)" in progress.render_summary()
 
 
-class TestApiV2Surface:
-    def test_api_version_is_2_everywhere(self):
+class TestApiSurface:
+    def test_api_version_is_3_everywhere(self):
         from repro.registry import API_VERSION as registry_version
 
-        assert repro.api.API_VERSION == 2
+        assert repro.api.API_VERSION == 3
         assert registry_version == repro.api.API_VERSION
-
-    def test_run_grid_is_a_deprecation_shim(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSession"):
-            shim = repro.api.run_grid
-        result = shim(QUICK)
-        assert result.cells == ExperimentSession(QUICK, mode="quick").run().cells
 
     def test_every_v1_name_is_still_importable(self):
         v1_names = [
@@ -342,20 +386,16 @@ class TestApiV2Surface:
             "PLACEMENTS", "TOPOLOGIES", "Registry", "RegistryEntry", "AlgorithmSpec",
             "parse_plugin_spec", "ReproError", "ScenarioFileError", "UnknownPluginError",
             "DiGraph", "NOT_APPLICABLE", "CellResult", "GridSpec", "GroupAggregate",
-            "SweepCell", "SweepEngine", "SweepRunResult", "TopologySpec", "run_cell",
-            "run_grid", "SCENARIOS", "Scenario", "dump_scenario_toml", "get_scenario",
+            "SweepCell", "SweepRunResult", "TopologySpec", "run_cell",
+            "SCENARIOS", "Scenario", "dump_scenario_toml", "get_scenario",
             "load_scenario_file", "load_scenario_text", "scenario_names",
             "ConsensusConfig", "quick_consensus", "run_bw_experiment",
             "run_clique_experiment", "run_crash_experiment", "run_iterative_experiment",
             "run_local_average_experiment", "ComparisonReport", "compare",
             "compare_files", "load_artifact", "write_artifact",
         ]
-        import warnings as _warnings
-
         for name in v1_names:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro.api, name) is not None, name
+            assert getattr(repro.api, name) is not None, name
 
     def test_unknown_api_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -472,7 +512,7 @@ class TestSigintResume:
         assert resumed.finished.reason == "completed"
 
         spec = resumed.spec
-        reference = SweepEngine(workers=1).run(spec)
+        reference = ExperimentSession(spec).run()
         assert dumps_canonical(resumed.artifact_payload()) == dumps_canonical(
             artifact_payload(reference, mode="full", provenance=load_journal(run_dir).provenance())
         )
