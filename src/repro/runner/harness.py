@@ -28,8 +28,10 @@ import hashlib
 import math
 import multiprocessing
 import random
+import signal
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -687,20 +689,42 @@ class SweepRunResult:
 # ----------------------------------------------------------------------
 # the pool result source
 # ----------------------------------------------------------------------
-#: ``(spec, cells in dispatch order, runner)`` of the pool this worker
-#: process belongs to; set once per worker by :func:`_init_pool_worker`.
-_pool_job: Optional[Tuple["GridSpec", List[SweepCell], CellRunner]] = None
+#: ``(spec, cells in dispatch order, runner, stop flag)`` of the pool this
+#: worker process belongs to; set once per worker by :func:`_init_pool_worker`.
+_pool_job: Optional[Tuple["GridSpec", List[SweepCell], CellRunner, Any]] = None
 
 
-def _init_pool_worker(spec: GridSpec, cells: List[SweepCell], runner: CellRunner) -> None:
+def _init_pool_worker(
+    spec: GridSpec, cells: List[SweepCell], runner: CellRunner, stopping: Any
+) -> None:
     global _pool_job
-    _pool_job = (spec, cells, runner)
+    # Interruption is the parent's job: it winds the pool down cleanly
+    # (see pool_results), which a worker killed mid-task by a terminal's
+    # Ctrl-C would leave waiting forever for the lost task.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _pool_job = (spec, cells, runner, stopping)
 
 
 def _run_cell_range(bounds: Tuple[int, int]) -> List[CellResult]:
-    spec, cells, runner = _pool_job
+    spec, cells, runner, stopping = _pool_job
     start, stop = bounds
-    return [runner(spec, cell) for cell in cells[start:stop]]
+    results = []
+    for cell in cells[start:stop]:
+        if stopping.value:
+            break  # the parent stopped consuming and discards this task
+        results.append(runner(spec, cell))
+    return results
+
+
+def _drain(tasks: Iterator[List[CellResult]]) -> None:
+    """Collect every outstanding task of an ``imap``, ignoring failures."""
+    while True:
+        try:
+            next(tasks)
+        except StopIteration:
+            return
+        except Exception:  # a failed cell's task; the rest still return
+            continue
 
 
 def pool_results(
@@ -723,7 +747,14 @@ def pool_results(
     dispatch order.  Tasks must stay tiny: a task of pickled cells (~62 KB
     per 1000 cells) can fill the pool's 64 KB input pipe, and
     ``Pool.terminate`` after an early stop then blocks forever in the task
-    handler's pipe write.  Closing the generator tears the pool down.
+    handler's pipe write.
+
+    Closing the generator (or an exception in it) winds the pool down
+    without ``Pool.terminate`` while tasks are in flight: a worker blocked
+    writing a large result holds the result queue's lock, and once
+    ``terminate`` stops the result handler reading, nothing releases it.
+    Workers are told to skip their remaining cells, every outstanding task
+    is collected, and only then are the workers joined.
     """
     dispatch = sorted(
         cells, key=lambda cell: (cell.topology.label, cell.f, cell.algorithm, cell.index)
@@ -732,11 +763,21 @@ def pool_results(
     bounds = [
         (start, min(start + chunk, len(dispatch))) for start in range(0, len(dispatch), chunk)
     ]
+    stopping = multiprocessing.RawValue("b", 0)
     with multiprocessing.Pool(
-        processes=workers, initializer=_init_pool_worker, initargs=(spec, dispatch, runner)
+        processes=workers,
+        initializer=_init_pool_worker,
+        initargs=(spec, dispatch, runner, stopping),
     ) as pool:
-        for results in pool.imap(_run_cell_range, bounds):
-            yield from results
+        tasks = pool.imap(_run_cell_range, bounds)
+        try:
+            for results in tasks:
+                yield from results
+        finally:
+            stopping.value = 1
+            _drain(tasks)
+            pool.close()
+            pool.join()
 
 
 __all__ = [

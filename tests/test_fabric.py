@@ -160,6 +160,15 @@ class WorkerThread:
         return self.exit_code
 
 
+def start_after_takeover(run_dir, worker: WorkerThread, timeout: float = 60.0) -> None:
+    """Start ``worker`` once no ``stop.json`` is left in ``run_dir``."""
+    deadline = time.monotonic() + timeout
+    while read_stop(run_dir) is not None:
+        assert time.monotonic() < deadline, "the stale stop sentinel was never deleted"
+        time.sleep(0.01)
+    worker.start()
+
+
 @pytest.fixture(scope="module")
 def serial_run_dir(tmp_path_factory):
     """The serial reference: GRID journaled by an ExperimentSession."""
@@ -349,7 +358,14 @@ class TestFabricRuns:
         assert read_stop(tmp_path)["reason"] == "interrupted"
         assert not load_journal(tmp_path).sealed
 
-        second_worker = WorkerThread(tmp_path, "tw2").start()
+        # A worker that joins while the stale sentinel is still on disk
+        # obeys it and exits, so the second worker starts only once the
+        # resumed coordinator has taken over (deleted the sentinel).
+        second_worker = WorkerThread(tmp_path, "tw2")
+        launcher = threading.Thread(
+            target=start_after_takeover, args=(tmp_path, second_worker), daemon=True
+        )
+        launcher.start()
         resumed = ExperimentSession.resume(tmp_path, fabric=fast_config())
         sentinel_during_run = []
         for event in resumed.events():
@@ -357,6 +373,7 @@ class TestFabricRuns:
                 sentinel_during_run.append(read_stop(tmp_path))
         # The stale sentinel was deleted before any worker could see it.
         assert sentinel_during_run and all(stop is None for stop in sentinel_during_run)
+        launcher.join()
         assert second_worker.join() == 0
         # Leftover lease files from the dead incarnation were fenced.
         assert resumed.coordinator.report.fenced >= 1

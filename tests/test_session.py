@@ -334,8 +334,11 @@ class TestEarlyStoppedPools:
     def test_repeated_early_stops_never_hang_in_pool_teardown(self, tmp_path):
         """Regression: 1000-cell tasks (~62 KB pickled, against a 64 KB
         pipe) let ``Pool.terminate`` block forever in the task handler's
-        pipe write about once in eight early stops.  Tasks are now index
-        ranges, so the loop below must finish well inside the timeout."""
+        pipe write about once in eight early stops; 1000-cell results let
+        it block in the result queue's lock, held by a worker whose write
+        nobody reads any more.  Tasks are now index ranges and the pool is
+        wound down before it is left, so the loop below must finish well
+        inside the timeout."""
         script = tmp_path / "early_stop.py"
         script.write_text(EARLY_STOP_SCRIPT, encoding="utf-8")
         env = dict(os.environ)
