@@ -868,19 +868,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # After plugin imports so a plugin-registered backend is a valid name.
     _apply_bitset_backend(args.bitset_backend)
     policies = tuple(args.stop_policy or ())
+    # --workers/--chunk-size with --fabric are refused by ExperimentSession.
     if args.fabric is not None:
         if args.fabric < 0:
             raise ReproError("--fabric N needs N >= 0 (0 = coordinator only)")
-        if args.workers != 1:
-            raise ReproError(
-                "--fabric supersedes pool sharding; drop --workers (fabric workers "
-                "are separate leasing processes)"
-            )
-        if args.chunk_size is not None:
-            raise ReproError(
-                "--chunk-size does not apply to --fabric (lease granularity is "
-                "derived from the worker count; see docs/fabric-protocol.md)"
-            )
     elif args.lease_ttl is not None or args.worker_throttle is not None:
         raise ReproError("--lease-ttl/--worker-throttle only apply with --fabric N")
     if args.resume is not None:

@@ -586,7 +586,7 @@ class FabricCoordinator:
         self._epochs: Dict[int, int] = {}
         self._accepted: Set[int] = set()
         self._last_steal_scan = float("-inf")
-        self._closed = False
+        self._stop_reason: Optional[str] = None
 
     @property
     def complete(self) -> bool:
@@ -880,18 +880,24 @@ class FabricCoordinator:
         self.report.leases_created += 1
 
     # -- shutdown ----------------------------------------------------------
-    def close(self, reason: str = "interrupted") -> None:
-        """Write ``stop.json`` with ``reason`` and reap the pool workers.
+    def stop(self, reason: str) -> None:
+        """Write ``stop.json`` with ``reason``; only the first call writes.
 
         ``reason`` is the journal's seal reason (``completed`` or
-        ``policy:<name>``), or ``interrupted`` when the run ends unsealed.
-        Idempotent: only the first call writes the sentinel.
+        ``policy:<name>``), written just before the session seals, or
+        ``interrupted`` when the run ends unsealed.
         """
-        if self._closed:
-            return
-        self._closed = True
-        write_stop(self.run_dir, reason)
-        deadline = time.monotonic() + 15.0
+        if self._stop_reason is None:
+            self._stop_reason = reason
+            write_stop(self.run_dir, reason)
+
+    def close(self, reason: str = "interrupted") -> None:
+        """Stop the run (as ``reason`` unless already stopped) and reap the
+        pool workers: each gets up to 15 s after a seal, 5 s after an
+        interruption, to finish its cell before it is terminated."""
+        self.stop(reason)
+        timeout = 5.0 if self._stop_reason == "interrupted" else 15.0
+        deadline = time.monotonic() + timeout
         for proc in self._procs.values():
             remaining = max(0.1, deadline - time.monotonic())
             try:

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import os
 import random
 import signal
 from dataclasses import dataclass, field
@@ -692,27 +693,47 @@ class SweepRunResult:
 #: ``(spec, cells in dispatch order, runner, stop flag)`` of the pool this
 #: worker process belongs to; set once per worker by :func:`_init_pool_worker`.
 _pool_job: Optional[Tuple["GridSpec", List[SweepCell], CellRunner, Any]] = None
+#: Whether this pool worker is inside :func:`_run_cell_range` (SIGINT
+#: abandons the task only then).
+_running_cells = False
+
+
+class PoolTaskInterrupted(Exception):
+    """A pool task abandoned by SIGINT.  The pool hands it to the parent as
+    a failed task, so no task is ever lost with its worker."""
+
+
+def _abandon_cells(signum: int, frame: Any) -> None:
+    global _running_cells
+    if _running_cells:
+        _running_cells = False  # a repeat SIGINT must not raise again
+        raise PoolTaskInterrupted(f"pool worker {os.getpid()} interrupted")
 
 
 def _init_pool_worker(
     spec: GridSpec, cells: List[SweepCell], runner: CellRunner, stopping: Any
 ) -> None:
     global _pool_job
-    # Interruption is the parent's job: it winds the pool down cleanly
-    # (see pool_results), which a worker killed mid-task by a terminal's
-    # Ctrl-C would leave waiting forever for the lost task.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A terminal's Ctrl-C reaches the workers too: it abandons the cells of
+    # the running task (see pool_results) and is ignored between tasks,
+    # where an exception would kill the worker holding the pool's locks.
+    signal.signal(signal.SIGINT, _abandon_cells)
     _pool_job = (spec, cells, runner, stopping)
 
 
 def _run_cell_range(bounds: Tuple[int, int]) -> List[CellResult]:
+    global _running_cells
     spec, cells, runner, stopping = _pool_job
     start, stop = bounds
     results = []
-    for cell in cells[start:stop]:
-        if stopping.value:
-            break  # the parent stopped consuming and discards this task
-        results.append(runner(spec, cell))
+    _running_cells = True
+    try:
+        for cell in cells[start:stop]:
+            if stopping.value:
+                break  # the parent stopped consuming and discards this task
+            results.append(runner(spec, cell))
+    finally:
+        _running_cells = False
     return results
 
 
@@ -723,7 +744,7 @@ def _drain(tasks: Iterator[List[CellResult]]) -> None:
             next(tasks)
         except StopIteration:
             return
-        except Exception:  # a failed cell's task; the rest still return
+        except Exception:  # a failed or interrupted task; the rest still return
             continue
 
 
@@ -754,7 +775,10 @@ def pool_results(
     writing a large result holds the result queue's lock, and once
     ``terminate`` stops the result handler reading, nothing releases it.
     Workers are told to skip their remaining cells, every outstanding task
-    is collected, and only then are the workers joined.
+    is collected, and only then are the workers joined.  The wind-down
+    waits for the cells running at that moment, except after a terminal's
+    Ctrl-C, which interrupts those cells in the workers as well.  A second
+    interrupt during the wind-down terminates the workers instead.
     """
     dispatch = sorted(
         cells, key=lambda cell: (cell.topology.label, cell.f, cell.algorithm, cell.index)
@@ -775,7 +799,11 @@ def pool_results(
                 yield from results
         finally:
             stopping.value = 1
-            _drain(tasks)
+            try:
+                _drain(tasks)
+            except KeyboardInterrupt:
+                pool.terminate()  # stop waiting for the running cells
+                raise
             pool.close()
             pool.join()
 

@@ -357,8 +357,9 @@ class ExperimentSession:
                 raise ExperimentError("a fabric session needs a run_dir")
             if workers != 1 or chunk_size is not None or runner is not None:
                 raise ExperimentError(
-                    "a fabric session runs cells on fabric workers; drop "
-                    "workers/chunk_size/runner"
+                    "a fabric session runs its cells on separate leasing fabric "
+                    "workers, in leases sized from their count; drop "
+                    "workers/chunk_size/runner (--workers/--chunk-size)"
                 )
         self.spec = spec
         self.mode = mode
@@ -604,7 +605,6 @@ class ExperimentSession:
         writer = self._open_writer()
         start = time.perf_counter()
         stop: Optional[Tuple[str, str]] = None
-        reason = "interrupted"
         try:
             started = RunStarted(
                 scenario=spec.name,
@@ -654,7 +654,7 @@ class ExperimentSession:
 
             reason = "completed" if stop is None else f"policy:{stop[0]}"
             if self.coordinator is not None:
-                self.coordinator.close(reason)
+                self.coordinator.stop(reason)
             if writer is not None:
                 writer.seal(reason, state.results)
                 yield CheckpointWritten(
@@ -675,8 +675,10 @@ class ExperimentSession:
             state.finished = finished
             yield finished
         finally:
+            # Reaping fabric workers waits for their current cell, so it
+            # comes after the seal and outside RunFinished's wall time.
             if self.coordinator is not None:
-                self.coordinator.close(reason)  # no-op once closed above
+                self.coordinator.close()
             if writer is not None:
                 writer.close()
 

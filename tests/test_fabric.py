@@ -343,6 +343,23 @@ class TestFabricRuns:
         assert len(result.cells) == 6
         assert result.stop_reason == "policy:max-cells"
 
+    def test_workers_are_reaped_after_the_seal_and_run_finished(self, tmp_path):
+        worker = WorkerThread(tmp_path, "tw1").start()
+        session = fabric_session(tmp_path, fast_config())
+        sealed_at_reap = []
+        close = session.coordinator.close
+
+        def recording_close() -> None:
+            sealed_at_reap.append(load_journal(tmp_path).sealed)
+            close()
+
+        session.coordinator.close = recording_close
+        for event in session.events():
+            if isinstance(event, RunFinished):
+                assert sealed_at_reap == []  # wall_seconds excludes the reap
+        assert sealed_at_reap == [True]
+        assert worker.join() == 0
+
     def test_resume_after_coordinator_loss(self, tmp_path, serial_fold):
         worker = WorkerThread(tmp_path, "tw1").start()
         events = fabric_session(tmp_path, fast_config()).events()

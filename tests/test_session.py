@@ -355,6 +355,75 @@ class TestEarlyStoppedPools:
         assert completed.stdout.split() == [str(attempt) for attempt in range(runs)]
 
 
+SLOW_POOL_SCRIPT = """
+import pathlib
+import sys
+import time
+from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.session import ExperimentSession
+
+MARKERS = pathlib.Path(sys.argv[1])
+
+
+def slow_cell(spec, cell):
+    (MARKERS / str(cell.index)).touch()
+    time.sleep(600)
+
+
+grid = GridSpec(
+    name="slow-pool", algorithms=("check-reach",),
+    topologies=(TopologySpec.make("random-digraph", n=7, p=0.6, seed="cell"),),
+    behaviors=("-",), placements=("-",), seeds=(1, 2, 3, 4, 5, 6),
+)
+try:
+    ExperimentSession(grid, workers=2, chunk_size=1, runner=slow_cell).run()
+except KeyboardInterrupt:
+    print("interrupted", flush=True)
+    sys.exit(3)
+"""
+
+
+class TestInterruptedPools:
+    @pytest.mark.parametrize("target", ["process-group", "parent-twice"])
+    def test_interrupt_during_slow_cells_returns_promptly(self, tmp_path, target):
+        """A terminal's Ctrl-C (SIGINT to the whole process group) abandons
+        the cells the pool workers are running.  SIGINT to the parent alone
+        waits for those cells; a second one terminates the workers.  Both
+        end the session within seconds although each cell takes 600 s."""
+        script = tmp_path / "slow_pool.py"
+        script.write_text(SLOW_POOL_SCRIPT, encoding="utf-8")
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, str(script), str(markers)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(markers.iterdir())) < 2:  # both workers are in a cell
+                assert process.poll() is None, process.communicate()
+                assert time.monotonic() < deadline, "pool workers never started a cell"
+                time.sleep(0.05)
+            if target == "process-group":
+                os.killpg(process.pid, signal.SIGINT)
+            else:
+                process.send_signal(signal.SIGINT)
+                time.sleep(1.0)
+                assert process.poll() is None  # waiting for the running cells
+                process.send_signal(signal.SIGINT)
+            stdout, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+        assert process.returncode == 3, stderr
+        assert stdout.strip() == "interrupted"
+        assert len(list(markers.iterdir())) == 2  # no queued cell was started
+
+
 class TestSessionProgress:
     def test_progress_consumes_events_only(self, tmp_path):
         session = ExperimentSession(
