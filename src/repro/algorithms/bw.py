@@ -28,6 +28,36 @@ parallel threads are represented by per-fault-set trackers inside a
 per-round state object rather than actual threads; the shared-variable
 ``nextround`` discipline of lines 15-19 becomes a plain per-round boolean
 because handlers run to completion one at a time.
+
+The COMPLETE phase (lines 12-14) is event-driven rather than re-polled.
+Both of its conditions only ever move one way, which is what makes it sound
+to skip a re-check whose inputs did not change:
+
+* **FIFO-Receive-All** waits, per thread, on one ``(origin, path)`` entry
+  at a time — a stored announcement and a FIFO counter prefix for that
+  key.  Only a COMPLETE delivery on ``(origin, path)`` (of any round: the
+  counter prefix is shared across rounds) can store that announcement or
+  advance that prefix, so a blocked thread is parked under its key and
+  re-scanned only when a delivery on the key wakes it.  A thread whose
+  copies disagree in content is dead for good (stored announcements never
+  change) and is never parked.
+* **Verify** fails only when some eligible announcement fails
+  Completeness.  The message set is append-only and Completeness is a pure
+  function of it; reach-set membership of a path never changes and FIFO
+  prefixes only grow, so that announcement stays eligible and keeps
+  failing until a new value message is stored.  A thread therefore
+  remembers the message-set size of its last failed Verify and fails in
+  O(1) while the size is unchanged.  Completeness does not read an
+  announcement's origin, so its pass memo is keyed on ``(fault set,
+  values)``.
+
+``tests/test_bw_event_driven.py`` checks this against a literal
+transcription that re-polls every condition on every evaluation.
+
+Malformed payloads from a Byzantine sender are dropped before any state is
+touched: a round that is not an ``int`` in ``[0, total_rounds)``, and a
+COMPLETE whose counter is not an ``int``, whose value map is not a tuple of
+pairs or whose path, fault set or origin cannot be hashed.
 """
 
 from __future__ import annotations
@@ -63,12 +93,23 @@ class _ThreadTracker:
     is inconsistent can never become consistent again (stored messages are
     immutable), so a full-but-inconsistent thread is permanently dead either
     way.
+
+    The COMPLETE phase is woken, not polled.  FIFO-Receive-All walks a
+    flattened wait list once, resuming at ``scan_pos``: every entry's
+    satisfaction is monotone (announcements are immutable once stored,
+    counter prefixes only grow), and the entry at ``scan_pos`` can only
+    change through a COMPLETE delivery on its ``(origin, path)``, under
+    which the blocked thread is parked.  Verify remembers in
+    ``verify_failed_at`` the message-set size at which it last failed: the
+    failing announcement stays eligible and its Completeness verdict is a
+    pure function of the append-only message set, so Verify cannot pass
+    before a new value message is stored.
     """
 
     __slots__ = ("fault_set", "fault_mask", "required_count",
                  "received_required", "complete_sent", "ready_queued",
-                 "fifo_received_all", "fifo_paths", "fifo_entries",
-                 "scan_pos", "reach_mask")
+                 "fifo_received_all", "fifo_entries", "scan_pos", "reach_mask",
+                 "verify_failed_at")
 
     def __init__(self, fault_set: FaultSet, fault_mask: int, required_count: int) -> None:
         self.fault_set = fault_set
@@ -79,26 +120,22 @@ class _ThreadTracker:
         #: already enqueued on the round's ready list (avoids duplicates).
         self.ready_queued = False
         self.fifo_received_all = False
-        #: lazily bound per-thread topology lookups (avoid re-keying the
-        #: shared memos with a fresh frozenset per evaluation).
-        self.fifo_paths: Optional[Dict[NodeId, Tuple[Path, ...]]] = None
-        #: flattened FIFO-Receive-All wait list plus a resume position:
-        #: every entry's satisfaction is monotone (messages are immutable
-        #: once stored, counter prefixes only grow), so each evaluation
-        #: resumes where the previous one stopped instead of rescanning.
-        self.fifo_entries: Optional[List[Tuple[NodeId, Optional[Tuple], Optional[Tuple]]]] = None
+        #: FIFO-Receive-All wait list ``(link, key, first_key)`` (built on
+        #: first scan) and the position of its first unsatisfied entry.
+        self.fifo_entries: Optional[List[Tuple[Tuple[NodeId, Path], Tuple, Optional[Tuple]]]] = None
         self.scan_pos = 0
         self.reach_mask: Optional[int] = None
+        #: message-set size at which Verify last failed (-1: never).
+        self.verify_failed_at = -1
 
 
 class _RoundState:
     """Mutable per-round state of a BW node."""
 
     __slots__ = ("round_index", "message_set", "relayed_value_paths", "trackers",
-                 "ready_trackers", "awaiting_fifo", "fifo_all_count",
-                 "complete_messages", "complete_path_masks",
-                 "relayed_complete_keys", "complete_content_keys",
-                 "completeness_passed", "advanced", "filter_result", "started")
+                 "ready_trackers", "verify_trackers", "complete_messages",
+                 "relayed_complete_keys", "completeness_passed", "advanced",
+                 "filter_result", "started")
 
     def __init__(self, round_index: int, message_set: MessageSet) -> None:
         self.round_index = round_index
@@ -109,21 +146,15 @@ class _RoundState:
         #: (filled by ``observe``; drained by ``_maybe_flood_completes`` so
         #: the per-message re-evaluation never scans quiescent trackers).
         self.ready_trackers: List[_ThreadTracker] = []
-        #: threads with COMPLETE sent but FIFO-Receive-All outstanding, and
-        #: threads past FIFO-Receive-All — counters gating the evaluation
-        #: loop's sections (lines 12 and 14) so quiescent phases cost O(1).
-        self.awaiting_fifo = 0
-        self.fifo_all_count = 0
+        #: threads past FIFO-Receive-All, in ``trackers`` order (the order
+        #: Verify tries them in).
+        self.verify_trackers: List[_ThreadTracker] = []
         #: ``(origin, fault_set, path)`` → first CompleteMessage received that way.
         self.complete_messages: Dict[Tuple[NodeId, FaultSet, Path], CompleteMessage] = {}
-        #: propagation path → member mask (computed once at receipt; Verify's
-        #: reach-containment test is a single AND against these).
-        self.complete_path_masks: Dict[Path, int] = {}
         self.relayed_complete_keys: Set[Tuple[NodeId, int, Path]] = set()
-        #: ``(origin, fault_set, path)`` → precomputed ``content_key()`` of the
-        #: stored message (FIFO-Receive-All compares these per evaluation).
-        self.complete_content_keys: Dict[Tuple[NodeId, FaultSet, Path], Tuple] = {}
-        self.completeness_passed: Set[Tuple[NodeId, FaultSet, Tuple]] = set()
+        #: ``(fault_set, values)`` of announcements that passed Completeness
+        #: (monotone: more stored paths only make a cover harder to find).
+        self.completeness_passed: Set[Tuple[FaultSet, Tuple]] = set()
         self.advanced = False
         self.filter_result: Optional[FilterResult] = None
         self.started = False
@@ -174,11 +205,20 @@ class BWProcess(Process):
         self.value_history: List[float] = [self.initial_value]
         self._rounds: Dict[int, _RoundState] = {}
         self._fifo_counter = 0
-        #: (origin, path ending here) → set of FIFO counters received that way.
-        self._fifo_counters_seen: Dict[Tuple[NodeId, Path], Set[int]] = {}
-        #: (origin, path) → longest contiguous counter prefix received (the
-        #: FIFO-Receive check of Appendix F in O(1) instead of O(counter)).
+        #: (origin, path ending here) → longest contiguous FIFO counter
+        #: prefix received that way (the FIFO-Receive check of Appendix F in
+        #: O(1) instead of O(counter)), and the counters received beyond it.
         self._fifo_prefix: Dict[Tuple[NodeId, Path], int] = {}
+        self._fifo_ahead: Dict[Tuple[NodeId, Path], Set[int]] = {}
+        #: COMPLETE propagation path (ending here) → ``(member mask, relay
+        #: targets)``, built at first receipt.  Verify's reach-containment
+        #: test is one AND against the mask.
+        self._complete_paths: Dict[Path, Tuple[int, List[NodeId]]] = {}
+        #: FIFO-Receive-All wake index of the current round: ``(origin,
+        #: path)`` → threads blocked on that entry, and the threads to scan at
+        #: the next evaluation (just fired, or woken by a delivery).
+        self._fifo_waiters: Dict[Tuple[NodeId, Path], List[_ThreadTracker]] = {}
+        self._fifo_woken: List[_ThreadTracker] = []
         #: experiment-wide path codec (graph nodes share the engine's bits).
         self._codec = self.topology.path_codec
         #: sorted ``(neighbour, neighbour-bit)`` pairs, built on first send.
@@ -272,12 +312,15 @@ class BWProcess(Process):
         # ... and is RedundantFlooded to every outgoing neighbour (Algorithm 4, code for s).
         message = ValueMessage(round=round_index, value=self.state_value, path=trivial)
         self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
-        self._evaluate(round_index)
+        self._evaluate_state(state)
 
     def _advance(self, round_index: int, filter_result: FilterResult) -> None:
         state = self._round_state(round_index)
         state.advanced = True
         state.filter_result = filter_result
+        # A finished round never evaluates FIFO-Receive-All again.
+        self._fifo_waiters = {}
+        self._fifo_woken = []
         self.state_value = filter_result.new_value
         self.value_history.append(self.state_value)
         self.current_round = round_index + 1
@@ -371,6 +414,11 @@ class BWProcess(Process):
         return record
 
     def _handle_value(self, sender: NodeId, message: ValueMessage) -> None:
+        round_index = message.round
+        if round_index.__class__ is not int or not 0 <= round_index < self.total_rounds:
+            # A forged round index must not allocate round state (one
+            # tracker per fault candidate) or be relayed.
+            return
         path = tuple(message.path)
         if not path or path[-1] != sender:
             return  # propagation-path forgery that misreports the link sender
@@ -380,7 +428,6 @@ class BWProcess(Process):
             return
         path_mask = record[1]
         path_id = record[2]
-        round_index = message.round
         state = self._rounds.get(round_index)
         if state is None:
             state = self._round_state(round_index)
@@ -409,11 +456,11 @@ class BWProcess(Process):
             # A value delivery can only progress the round when a thread
             # just became full (ready_trackers) or a thread is already past
             # FIFO-Receive-All and waiting on Verify, whose Completeness
-            # check reads the message set (fifo_all_count) — every other
+            # check reads the message set (verify_trackers) — every other
             # section's inputs are untouched by value messages, so the
             # evaluation loop is skipped outright.
             if round_index == self.current_round:
-                if state.ready_trackers or state.fifo_all_count:
+                if state.ready_trackers or state.verify_trackers:
                     self._evaluate_state(state)
             elif state.ready_trackers:
                 self._maybe_flood_completes(state)
@@ -457,70 +504,108 @@ class BWProcess(Process):
         return self._fifo_counter
 
     def _handle_complete(self, sender: NodeId, message: CompleteMessage) -> None:
-        path = tuple(message.path)
+        round_index = message.round
+        counter = message.fifo_counter
+        values = message.values
+        if (
+            round_index.__class__ is not int
+            or not 0 <= round_index < self.total_rounds
+            or counter.__class__ is not int
+            or values.__class__ is not tuple
+        ):
+            return  # forged round (see _handle_value) or malformed fields
+        origin = message.origin
+        announced = message.fault_set
+        try:
+            path = tuple(message.path)
+            if announced.__class__ is not frozenset:
+                announced = frozenset(announced)
+            # Verify hashes the value map and reads it as a dict; the stores
+            # below hash the origin and the path.
+            hash((origin, path, values))
+            dict(values)
+        except (TypeError, ValueError):
+            return  # malformed payload from a Byzantine sender: drop it
         if not path or path[-1] != sender:
             return
-        if self.node_id in path:
+        node_id = self.node_id
+        if node_id in path:
             return  # FIFO flooding uses simple paths only
-        extended = path + (self.node_id,)
-        state = self._round_state(message.round)
-        extended_mask = self._codec.member_mask(extended)
-        state.complete_path_masks.setdefault(extended, extended_mask)
+        extended = path + (node_id,)
+        state = self._rounds.get(round_index)
+        if state is None:
+            state = self._round_state(round_index)
+        hop = self._complete_paths.get(extended)
+        if hop is None:
+            extended_mask = self._codec.member_mask(extended)
+            hop = (
+                extended_mask,
+                [neighbor for neighbor, bit in self._out_neighbors() if not extended_mask & bit],
+            )
+            self._complete_paths[extended] = hop
 
-        self._note_fifo_counter(message.origin, extended, message.fifo_counter)
-        key = (message.origin, frozenset(message.fault_set), extended)
+        # Advance the link's contiguous counter prefix.  A delivery on
+        # ``(origin, extended)`` is the only event that can unblock the
+        # FIFO-Receive-All threads parked there, so it wakes them.
+        link = (origin, extended)
+        prefix = self._fifo_prefix.get(link, 0)
+        if counter == prefix + 1:
+            prefix += 1
+            ahead = self._fifo_ahead.get(link)
+            if ahead:
+                while prefix + 1 in ahead:
+                    ahead.discard(prefix + 1)
+                    prefix += 1
+            self._fifo_prefix[link] = prefix
+        elif counter > prefix:
+            self._fifo_ahead.setdefault(link, set()).add(counter)
+        waiters = self._fifo_waiters.pop(link, None)
+        if waiters is not None:
+            self._fifo_woken.extend(waiters)
+
+        key = (origin, announced, extended)
+        stored = None
         if key not in state.complete_messages:
             stored = CompleteMessage(
-                round=message.round,
-                origin=message.origin,
-                fault_set=frozenset(message.fault_set),
-                values=message.values,
-                fifo_counter=message.fifo_counter,
+                round=round_index,
+                origin=origin,
+                fault_set=announced,
+                values=values,
+                fifo_counter=counter,
                 path=extended,
             )
             state.complete_messages[key] = stored
-            state.complete_content_keys[key] = stored.content_key()
 
-        relay_key = (message.origin, message.fifo_counter, path)
-        if relay_key not in state.relayed_complete_keys:
-            state.relayed_complete_keys.add(relay_key)
-            forwarded = CompleteMessage(
-                round=message.round,
-                origin=message.origin,
-                fault_set=message.fault_set,
-                values=message.values,
-                fifo_counter=message.fifo_counter,
-                path=extended,
-            )
-            self._flood(
-                [neighbor for neighbor, bit in self._out_neighbors() if not extended_mask & bit],
-                forwarded,
-            )
+        relay_key = (origin, counter, path)
+        relayed = state.relayed_complete_keys
+        if relay_key not in relayed:
+            relayed.add(relay_key)
+            # The relayed copy keeps the fault set as received; when that
+            # already is a frozenset it equals the stored record.
+            if stored is None or announced is not message.fault_set:
+                stored = CompleteMessage(
+                    round=round_index,
+                    origin=origin,
+                    fault_set=message.fault_set,
+                    values=values,
+                    fifo_counter=counter,
+                    path=extended,
+                )
+            self._flood(hop[1], stored)
 
-        if message.round == self.current_round:
-            self._evaluate(message.round)
-
-    def _note_fifo_counter(self, origin: NodeId, path: Path, counter: int) -> None:
-        """Record a received FIFO counter and advance the contiguous prefix."""
-        key = (origin, path)
-        seen = self._fifo_counters_seen.get(key)
-        if seen is None:
-            seen = set()
-            self._fifo_counters_seen[key] = seen
-        seen.add(counter)
-        prefix = self._fifo_prefix.get(key, 0)
-        if counter == prefix + 1:
-            prefix += 1
-            while prefix + 1 in seen:
-                prefix += 1
-            self._fifo_prefix[key] = prefix
+        # Only a woken thread can progress: COMPLETE deliveries leave the
+        # message set alone, so every thread already past FIFO-Receive-All
+        # still fails Verify at the size it last failed at (value
+        # deliveries re-run Verify whenever such a thread exists).
+        if round_index == self.current_round and self._fifo_woken:
+            self._evaluate_state(state)
 
     def _fifo_received(self, origin: NodeId, path: Path, counter: int) -> bool:
         """FIFO-Receive check of Appendix F: all earlier counters from the same
         origin arrived on the same propagation path.
 
         O(1): counters ``1..k`` were all received iff the contiguous prefix
-        maintained by :meth:`_note_fifo_counter` reaches ``k``.
+        maintained by :meth:`_handle_complete` reaches ``k``.
         """
         if origin == self.node_id:
             return True
@@ -541,9 +626,8 @@ class BWProcess(Process):
         # The node trivially "receives" its own announcement on the path ⟨v⟩.
         own_key = (self.node_id, fault_set, (self.node_id,))
         state.complete_messages[own_key] = message
-        state.complete_content_keys[own_key] = message.content_key()
-        state.complete_path_masks.setdefault(
-            (self.node_id,), 1 << self._codec.bit(self.node_id)
+        self._complete_paths.setdefault(
+            (self.node_id,), (1 << self._codec.bit(self.node_id), [])
         )
         self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
 
@@ -574,7 +658,10 @@ class BWProcess(Process):
             if value_map is None:
                 continue
             tracker.complete_sent = True
-            state.awaiting_fifo += 1
+            if not state.advanced:
+                # Scanned once at the next FIFO-Receive-All evaluation;
+                # finished rounds never evaluate it again.
+                self._fifo_woken.append(tracker)
             self._fifo_flood_complete(state.round_index, tracker.fault_set, value_map)
             progressed = True
         return progressed
@@ -604,11 +691,6 @@ class BWProcess(Process):
                 result[origin] = found
         return result
 
-    def _evaluate(self, round_index: int) -> None:
-        if round_index != self.current_round:
-            return
-        self._evaluate_state(self._round_state(round_index))
-
     def _evaluate_state(self, state: _RoundState) -> None:
         if state.advanced or not state.started:
             return
@@ -621,120 +703,131 @@ class BWProcess(Process):
             if self._maybe_flood_completes(state):
                 progressed = True
 
-            # FIFO-Receive-All (line 12) per thread with COMPLETE in flight.
-            if state.awaiting_fifo:
-                for fault_set, tracker in state.trackers.items():
-                    if tracker.fifo_received_all or not tracker.complete_sent:
-                        continue
-                    if self._fifo_receive_all_satisfied(state, fault_set, tracker):
+            # FIFO-Receive-All (line 12) for the threads fired or woken since
+            # the last evaluation; every other thread's blocking entry is
+            # unchanged.
+            woken = self._fifo_woken
+            if woken:
+                self._fifo_woken = []
+                passed = False
+                for tracker in woken:
+                    if self._fifo_receive_all_satisfied(state, tracker):
                         tracker.fifo_received_all = True
-                        state.awaiting_fifo -= 1
-                        state.fifo_all_count += 1
-                        progressed = True
+                        passed = True
+                if passed:
+                    state.verify_trackers = [
+                        tracker for tracker in state.trackers.values()
+                        if tracker.fifo_received_all
+                    ]
+                    progressed = True
 
             # Verify (line 14 / function at line 20) → Filter-and-Average.
-            if state.fifo_all_count:
-                for fault_set, tracker in state.trackers.items():
-                    if state.advanced:
-                        break
-                    if not tracker.fifo_received_all:
-                        continue
-                    if self._verify(state, fault_set, tracker):
-                        result = filter_and_average(
-                            state.message_set, self.config.f, self.node_id
-                        )
-                        self._advance(state.round_index, result)
-                        progressed = True
-                        break
+            for tracker in state.verify_trackers:
+                if self._verify(state, tracker):
+                    result = filter_and_average(
+                        state.message_set, self.config.f, self.node_id
+                    )
+                    self._advance(state.round_index, result)
+                    progressed = True
+                    break
 
-    def _fifo_receive_all_satisfied(
-        self, state: _RoundState, fault_set: FaultSet, tracker: _ThreadTracker
-    ) -> bool:
+    def _fifo_receive_all_satisfied(self, state: _RoundState, tracker: _ThreadTracker) -> bool:
         """Line 12: identical, FIFO-received ``COMPLETE(F_v)`` announcements from
-        every node of ``reach_v(F_v)`` over every simple path inside the reach set."""
-        paths_by_origin = tracker.fifo_paths
-        if paths_by_origin is None:
-            paths_by_origin = self.topology.simple_paths_within_reach(self.node_id, fault_set)
-            tracker.fifo_paths = paths_by_origin
+        every node of ``reach_v(F_v)`` over every simple path inside the reach set.
+
+        Resumes at the thread's first unsatisfied entry.  A thread blocked on
+        a missing or not-yet-FIFO-received announcement is parked under the
+        entry's ``(origin, path)`` until a delivery there wakes it.
+        """
         entries = tracker.fifo_entries
         if entries is None:
-            # Flatten the wait list once per thread: ``(origin, key,
-            # first_key)`` where ``key`` indexes ``complete_messages`` and
-            # ``first_key`` is the origin's first path (content reference);
-            # the self entry (COMPLETE sent locally) gets ``key = None``.
+            # Flatten the wait list once per thread: ``(link, key,
+            # first_key)`` with ``link = (origin, path)`` keying the FIFO
+            # prefix and the wake index, ``key`` indexing
+            # ``complete_messages`` and ``first_key`` the origin's first
+            # path (content reference).  The node's own announcement is
+            # always present: a thread is only scanned after it fired.
+            fault_set = tracker.fault_set
             entries = []
+            paths_by_origin = self.topology.simple_paths_within_reach(self.node_id, fault_set)
             for origin, paths in paths_by_origin.items():
                 if origin == self.node_id:
-                    entries.append((origin, None, None))
                     continue
                 first_key = None
                 for path in paths:
                     key = (origin, fault_set, path)
-                    entries.append((origin, key, first_key))
+                    entries.append(((origin, path), key, first_key))
                     if first_key is None:
                         first_key = key
             tracker.fifo_entries = entries
 
         complete_messages = state.complete_messages
-        content_keys = state.complete_content_keys
         fifo_prefix = self._fifo_prefix
         pos = tracker.scan_pos
         total = len(entries)
         while pos < total:
-            origin, key, first_key = entries[pos]
-            if key is None:
-                if not tracker.complete_sent:
-                    break
-            else:
-                message = complete_messages.get(key)
-                if message is None:
-                    break
-                if fifo_prefix.get((origin, key[2]), 0) < message.fifo_counter - 1:
-                    break
-                if first_key is not None and content_keys[key] != content_keys[first_key]:
-                    break
+            link, key, first_key = entries[pos]
+            message = complete_messages.get(key)
+            if message is None or fifo_prefix.get(link, 0) < message.fifo_counter - 1:
+                tracker.scan_pos = pos
+                waiters = self._fifo_waiters.get(link)
+                if waiters is None:
+                    self._fifo_waiters[link] = [tracker]
+                else:
+                    waiters.append(tracker)
+                return False
+            if (
+                first_key is not None
+                and message.content_key() != complete_messages[first_key].content_key()
+            ):
+                tracker.scan_pos = pos
+                return False  # copies disagree: blocked for good, never parked
             pos += 1
         tracker.scan_pos = pos
-        return pos == total
+        return True
 
-    def _verify(
-        self, state: _RoundState, fault_set: FaultSet, tracker: _ThreadTracker
-    ) -> bool:
+    def _verify(self, state: _RoundState, tracker: _ThreadTracker) -> bool:
         """Function Verify (lines 20-26): Completeness for every announcement
         FIFO-received through a simple path inside ``reach_v(F_v)``.
 
-        Path-containment tests run on the shared bitmask engine: the reach
-        set is a memoised mask (one cache per experiment run, shared across
-        rounds and fault-set pairs, re-bound per thread) and each
-        path-in-reach check is a single word operation instead of a set
-        comparison.
+        Fails in O(1) while the message set has the size of the thread's
+        last failure (see :class:`_ThreadTracker`).  Path-containment tests
+        run on the shared bitmask engine: the reach set is a memoised mask
+        (one cache per experiment run, shared across rounds and fault-set
+        pairs, re-bound per thread) and each path-in-reach check is a single
+        word operation instead of a set comparison.
         """
+        message_set = state.message_set
+        size = len(message_set)
+        if tracker.verify_failed_at == size:
+            return False
         reach_mask = tracker.reach_mask
         if reach_mask is None:
-            reach_mask = self.topology.reach_mask(self.node_id, fault_set)
+            reach_mask = self.topology.reach_mask(self.node_id, tracker.fault_set)
             tracker.reach_mask = reach_mask
         outside_reach = ~reach_mask
-        path_masks = state.complete_path_masks
+        paths = self._complete_paths
+        passed = state.completeness_passed
         for (origin, announced_set, path), message in state.complete_messages.items():
             # Member masks are computed once at receipt; forged hops intern
             # beyond the graph's bits, so they always test as outside reach.
-            if path_masks[path] & outside_reach:
+            if paths[path][0] & outside_reach:
                 continue
             if not self._fifo_received(origin, path, message.fifo_counter):
                 continue
-            cache_key = (origin, announced_set, message.values)
-            if cache_key in state.completeness_passed:
+            cache_key = (announced_set, message.values)
+            if cache_key in passed:
                 continue
-            witness_values = message.value_map()
             if not completeness(
-                state.message_set,
-                witness_values,
+                message_set,
+                message.value_map(),
                 announced_set,
                 self.topology,
                 self.node_id,
             ):
+                tracker.verify_failed_at = size
                 return False
-            state.completeness_passed.add(cache_key)
+            passed.add(cache_key)
         return True
 
     # ------------------------------------------------------------------

@@ -8,19 +8,25 @@ stack for a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.adversary.adversary import FaultPlan
 from repro.adversary.behaviors import (
+    ByzantineBehavior,
     CrashAfterBehavior,
     HonestBehavior,
     ReplayBehavior,
     SelectiveSilenceBehavior,
 )
 from repro.algorithms.base import ConsensusConfig
+from repro.algorithms.bw import create_bw_processes
+from repro.algorithms.messages import CompleteMessage, ValueMessage
 from repro.algorithms.topology import TopologyKnowledge
 from repro.graphs.generators import complete_digraph
 from repro.network.delays import UniformDelay
+from repro.network.simulator import Simulator
 from repro.runner.experiment import run_bw_experiment
 
 
@@ -117,3 +123,77 @@ class TestDeterminismAndNetworkVariants:
             seed=9,
         )
         assert outcome.correct
+
+
+class MalformedFaultSetBehavior(ByzantineBehavior):
+    """Relay honestly, but give every COMPLETE announcement an ``int`` fault set."""
+
+    def on_send(self, sender, receiver, payload, rng):
+        if isinstance(payload, CompleteMessage):
+            return [dataclasses.replace(payload, fault_set=7)]
+        return [payload]
+
+
+class ForgedRoundsBehavior(ByzantineBehavior):
+    """Relay honestly, and on the first send to each neighbour add ``count``
+    VALUE and COMPLETE messages for rounds outside ``[0, total_rounds)``."""
+
+    def __init__(self, total_rounds, count=1000):
+        self.total_rounds = total_rounds
+        self.count = count
+        self.forged_towards = set()
+
+    def on_send(self, sender, receiver, payload, rng):
+        if receiver in self.forged_towards:
+            return [payload]
+        self.forged_towards.add(receiver)
+        rounds = [self.total_rounds + index for index in range(self.count - 4)]
+        rounds += [-1, 1.0, True, "0"]
+        forged = []
+        for round_index in rounds:
+            forged.append(ValueMessage(round=round_index, value=0.5, path=(sender,)))
+            forged.append(
+                CompleteMessage(
+                    round=round_index,
+                    origin=sender,
+                    fault_set=frozenset(),
+                    values=((sender, 0.5),),
+                    fifo_counter=1,
+                    path=(sender,),
+                )
+            )
+        return [payload] + forged
+
+
+def run_processes(behavior, faulty=3, seed=1):
+    """Run BW on ``GRAPH`` with one faulty node; return the honest processes."""
+    processes = create_bw_processes(GRAPH, INPUTS, CONFIG, topology=TOPOLOGY)
+    plan = FaultPlan(frozenset({faulty}), lambda node: behavior)
+    simulator = Simulator(GRAPH, UniformDelay(0.5, 2.0), seed=seed)
+    simulator.add_processes(plan.apply(processes).values())
+    simulator.run(max_events=2_000_000)
+    return [process for node, process in processes.items() if node != faulty]
+
+
+def assert_correct(honest):
+    outputs = [process.output for process in honest]
+    assert all(process.decided for process in honest)
+    assert max(outputs) - min(outputs) < CONFIG.epsilon
+    honest_inputs = [INPUTS[process.node_id] for process in honest]
+    assert all(min(honest_inputs) <= value <= max(honest_inputs) for value in outputs)
+
+
+class TestMalformedPayloads:
+    def test_complete_with_int_fault_set_is_dropped(self):
+        # ``frozenset(7)`` raised TypeError inside the handler and ended the
+        # cell; the payload is now dropped like any other malformed message.
+        honest = run_processes(MalformedFaultSetBehavior())
+        assert_correct(honest)
+
+    def test_forged_rounds_allocate_no_round_state(self):
+        total_rounds = CONFIG.rounds_needed()
+        honest = run_processes(ForgedRoundsBehavior(total_rounds))
+        assert_correct(honest)
+        for process in honest:
+            assert len(process._rounds) <= total_rounds
+            assert set(process._rounds) <= set(range(total_rounds))
